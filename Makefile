@@ -49,11 +49,14 @@ dist-smoke:
 	CI=1 $(GO) test -race -count 1 -run 'TestSession' ./internal/launch
 
 # One pass over the committed fuzz seed corpora plus a short live fuzz of
-# the session frame/payload decoders (truncated frames, hostile lengths,
-# non-finite payloads must error, never panic).
+# the session frame/payload decoders and the checkpoint reader (truncated
+# frames, hostile lengths and shapes, non-finite payloads must error,
+# never panic or allocate what a header merely claims).
 fuzz-smoke:
 	$(GO) test -run 'Fuzz|TestDecodeBlock|TestReadSessionFrame' ./internal/launch
+	$(GO) test -run 'FuzzReadState|TestReadStateHostileShape' ./internal/core
 	$(GO) test -fuzz FuzzDecodeBlock -fuzztime 10s -run '^$$' ./internal/launch
+	$(GO) test -fuzz FuzzReadState -fuzztime 10s -run '^$$' ./internal/core
 
 # Serving smoke: boot the HTTP server on a random port, create a model,
 # stream the deterministic FromWorkload batches at it through the typed
@@ -134,13 +137,13 @@ bench-stream:
 	$(GO) test -run '^$$' -bench Incorporate -benchmem ./internal/stream
 
 # Regression gate on the key benches: the blocked-GEMM kernel, the batched
-# skinny-GEMM path, the zero-allocation streaming hot path and the
-# zero-allocation pairwise merge. Fails if any zero-alloc benchmark
-# reports allocations per op.
+# skinny-GEMM path, the zero-allocation streaming hot path (raw batches
+# and sketched factor pairs) and the zero-allocation pairwise merge. Fails
+# if any zero-alloc benchmark reports allocations per op.
 bench-gate:
 	@fail=0; \
 	mat=$$($(GO) test -run '^$$' -bench 'BenchmarkMulSquare512$$|BenchmarkBatchedSkinny$$' -benchmem ./internal/mat) || fail=1; \
-	stream=$$($(GO) test -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$' -benchmem ./internal/stream) || fail=1; \
+	stream=$$($(GO) test -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkIncorporatePairSteadyState$$' -benchmem ./internal/stream) || fail=1; \
 	merge=$$($(GO) test -run '^$$' -bench 'BenchmarkMergePairSteadyState$$' -benchmem ./internal/merge) || fail=1; \
 	out=$$(printf '%s\n%s\n%s\n' "$$mat" "$$stream" "$$merge"); \
 	echo "$$out"; \
@@ -148,6 +151,9 @@ bench-gate:
 	echo "$$out" | awk ' \
 		/^BenchmarkIncorporateSteadyStateAllocs/ { \
 			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenS = 1; allocsS = $$(i-1) } \
+		} \
+		/^BenchmarkIncorporatePairSteadyState/ { \
+			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenP = 1; allocsP = $$(i-1) } \
 		} \
 		/^BenchmarkBatchedSkinny/ { \
 			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenB = 1; allocsB = $$(i-1) } \
@@ -157,12 +163,14 @@ bench-gate:
 		} \
 		END { \
 			if (!seenS) { print "bench-gate: BenchmarkIncorporateSteadyStateAllocs did not run"; exit 1 } \
+			if (!seenP) { print "bench-gate: BenchmarkIncorporatePairSteadyState did not run"; exit 1 } \
 			if (!seenB) { print "bench-gate: BenchmarkBatchedSkinny did not run"; exit 1 } \
 			if (!seenM) { print "bench-gate: BenchmarkMergePairSteadyState did not run"; exit 1 } \
 			if (allocsS + 0 > 0) { print "bench-gate: steady-state streaming path allocates (" allocsS " allocs/op, want 0)"; exit 1 } \
+			if (allocsP + 0 > 0) { print "bench-gate: steady-state sketched-pair path allocates (" allocsP " allocs/op, want 0)"; exit 1 } \
 			if (allocsB + 0 > 0) { print "bench-gate: batched skinny path allocates (" allocsB " allocs/op, want 0)"; exit 1 } \
 			if (allocsM + 0 > 0) { print "bench-gate: steady-state merge path allocates (" allocsM " allocs/op, want 0)"; exit 1 } \
-			print "bench-gate OK: streaming " allocsS " allocs/op, batched " allocsB " allocs/op, merge " allocsM " allocs/op" \
+			print "bench-gate OK: streaming " allocsS " allocs/op, sketched pair " allocsP " allocs/op, batched " allocsB " allocs/op, merge " allocsM " allocs/op" \
 		}'
 
 # The benchmark set the trajectory record tracks: kernel-level GEMM, the

@@ -96,16 +96,13 @@ func (d *distEngine) setDeadline(t time.Time) {
 	}
 }
 
-func (d *distEngine) push(b *mat.Dense) error {
+func (d *distEngine) push(x, s *mat.Dense) error {
 	if d.failed != nil {
 		return d.failed
 	}
-	if err := checkBatch(b, d.rows); err != nil {
-		return err
-	}
 	if d.sess == nil {
-		if b.Rows() < d.cfg.ranks {
-			return fmt.Errorf("parsvd: %d snapshot rows cannot be split across %d ranks", b.Rows(), d.cfg.ranks)
+		if x.Rows() < d.cfg.ranks {
+			return fmt.Errorf("parsvd: %d snapshot rows cannot be split across %d ranks", x.Rows(), d.cfg.ranks)
 		}
 		if err := d.start(); err != nil {
 			return err
@@ -113,38 +110,19 @@ func (d *distEngine) push(b *mat.Dense) error {
 	}
 	// A rejection before any frame was written (dimension mismatch,
 	// non-finite values, expired deadline) leaves the fleet consistent
-	// and usable; only a wire-level fault poisons (sessionErr).
-	if err := d.sess.Push(b); err != nil {
+	// and usable; only a wire-level fault poisons (sessionErr). A sketch
+	// travels as the pair: each rank receives its row block of Q plus
+	// all of S.
+	var err error
+	if s == nil {
+		err = d.sess.Push(x)
+	} else {
+		err = d.sess.PushSketch(x, s)
+	}
+	if err != nil {
 		return d.sessionErr("distributed update", err)
 	}
-	if d.rows == 0 {
-		d.rows = b.Rows()
-	}
-	return nil
-}
-
-// pushSketch ships a compressed factor pair to the fleet instead of
-// reconstructed rows (the sketchReceiver seam behind PushSketch and
-// WithSketchedPush): each rank receives its row block of Q plus the full
-// S and reconstructs worker-side, so only the pair crosses the wire.
-func (d *distEngine) pushSketch(q, s *mat.Dense) error {
-	if d.failed != nil {
-		return d.failed
-	}
-	if d.sess == nil {
-		if q.Rows() < d.cfg.ranks {
-			return fmt.Errorf("parsvd: %d snapshot rows cannot be split across %d ranks", q.Rows(), d.cfg.ranks)
-		}
-		if err := d.start(); err != nil {
-			return err
-		}
-	}
-	if err := d.sess.PushSketch(q, s); err != nil {
-		return d.sessionErr("distributed sketched update", err)
-	}
-	if d.rows == 0 {
-		d.rows = q.Rows()
-	}
+	d.rows = x.Rows()
 	return nil
 }
 

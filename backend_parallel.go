@@ -44,6 +44,7 @@ const (
 type parOp struct {
 	kind  parOpKind
 	block *mat.Dense // parPush: this rank's row block
+	s     *mat.Dense // parPush: the sketch projection, nil for raw rows
 	reply chan<- parReply
 }
 
@@ -78,7 +79,7 @@ func newParallelEngine(opts core.Options, ranks int) *parallelEngine {
 func (pe *parallelEngine) rankLoop(rank int) {
 	defer pe.wg.Done()
 	c := pe.world.Comm(rank)
-	var eng *core.Parallel
+	eng := core.NewParallel(c, pe.opts)
 	for op := range pe.cmds[rank] {
 		reply := parReply{rank: rank}
 		func() {
@@ -94,12 +95,7 @@ func (pe *parallelEngine) rankLoop(rank int) {
 			}()
 			switch op.kind {
 			case parPush:
-				if eng == nil {
-					eng = core.NewParallel(c, pe.opts)
-					eng.Initialize(op.block)
-				} else {
-					eng.IncorporateData(op.block)
-				}
+				eng.Push(op.block, op.s)
 			case parGather:
 				modes := eng.GatherModes()
 				if rank == 0 {
@@ -149,23 +145,20 @@ func isAbortEcho(err error) bool {
 	return errors.Is(err, mpi.ErrAborted) || err.Error() == "mpi: aborted because a peer rank panicked"
 }
 
-func (pe *parallelEngine) push(b *mat.Dense) error {
+func (pe *parallelEngine) push(x, s *mat.Dense) error {
 	if pe.failed != nil {
 		return pe.failed
 	}
-	if err := checkBatch(b, pe.rows); err != nil {
-		return err
-	}
 	if pe.rows == 0 {
-		if b.Rows() < pe.ranks {
-			return fmt.Errorf("parsvd: %d snapshot rows cannot be split across %d ranks", b.Rows(), pe.ranks)
+		if x.Rows() < pe.ranks {
+			return fmt.Errorf("parsvd: %d snapshot rows cannot be split across %d ranks", x.Rows(), pe.ranks)
 		}
-		pe.rows = b.Rows()
+		pe.rows = x.Rows()
 		pe.parts = grid.Partition(pe.rows, pe.ranks)
 	}
 	_, err := pe.dispatch(func(rank int) parOp {
 		p := pe.parts[rank]
-		return parOp{kind: parPush, block: b.SliceRows(p.Start, p.End)}
+		return parOp{kind: parPush, block: x.SliceRows(p.Start, p.End), s: s}
 	})
 	if err != nil {
 		pe.failed = fmt.Errorf("%w: parallel update failed: %w", ErrEngineFailed, err)

@@ -11,7 +11,7 @@ import (
 )
 
 // serialEngine adapts core.Serial (ParSVD_Serial) to the facade engine
-// contract: dimension checks happen here, before the panicking engine
+// contract. The facade checks dimensions before the panicking engine
 // layer, so the public path stays error-based.
 type serialEngine struct {
 	opts core.Options
@@ -28,16 +28,9 @@ func restoredSerialEngine(eng *core.Serial) *serialEngine {
 	return &serialEngine{opts: eng.Options(), eng: eng, rows: eng.Modes().Rows()}
 }
 
-func (e *serialEngine) push(b *mat.Dense) error {
-	if err := checkBatch(b, e.rows); err != nil {
-		return err
-	}
-	if e.rows == 0 {
-		e.eng.Initialize(b)
-		e.rows = b.Rows()
-		return nil
-	}
-	e.eng.IncorporateData(b)
+func (e *serialEngine) push(x, s *mat.Dense) error {
+	e.eng.Push(x, s)
+	e.rows = x.Rows()
 	return nil
 }
 
@@ -85,21 +78,30 @@ func (e *serialEngine) reconstruct(coeffs *mat.Dense) (*mat.Dense, error) {
 	return e.eng.Reconstruct(coeffs), nil
 }
 
-// checkBatch validates a snapshot batch against the rows seen so far
-// (rows == 0 means no batch yet). Non-finite values are rejected on
-// every backend — a NaN or Inf snapshot would silently corrupt the
-// running factorization — so code written against one backend behaves
-// identically on the others.
-func checkBatch(b *mat.Dense, rows int) error {
-	if b == nil || b.IsEmpty() {
+// checkBatch validates a snapshot batch x·s (s nil for a raw batch x)
+// against the rows seen so far (rows == 0 means no batch yet).
+// Non-finite values are rejected on every backend — a NaN or Inf
+// snapshot would silently corrupt the running factorization — so code
+// written against one backend behaves identically on the others.
+func checkBatch(x, s *mat.Dense, rows int) error {
+	if x == nil || x.IsEmpty() || (s != nil && s.IsEmpty()) {
 		return errors.New("parsvd: empty snapshot batch")
 	}
-	if rows != 0 && b.Rows() != rows {
-		return fmt.Errorf("parsvd: batch has %d rows, want %d", b.Rows(), rows)
+	if s != nil && x.Cols() != s.Rows() {
+		return fmt.Errorf("parsvd: sketch factor pair has mismatched inner dimension: Q is %dx%d, S is %dx%d",
+			x.Rows(), x.Cols(), s.Rows(), s.Cols())
 	}
-	for _, v := range b.RawData() {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("parsvd: snapshot batch contains a non-finite value (%g)", v)
+	if rows != 0 && x.Rows() != rows {
+		return fmt.Errorf("parsvd: batch has %d rows, want %d", x.Rows(), rows)
+	}
+	for _, m := range []*mat.Dense{x, s} {
+		if m == nil {
+			continue
+		}
+		for _, v := range m.RawData() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("parsvd: snapshot batch contains a non-finite value (%g)", v)
+			}
 		}
 	}
 	return nil

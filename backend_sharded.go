@@ -24,7 +24,6 @@ type shardedEngine struct {
 	cfg  config
 	subs []engine
 
-	rows   int // global row count, 0 until the first batch
 	next   int // round-robin cursor
 	fed    []bool
 	failed error
@@ -49,19 +48,13 @@ func newShardedEngine(cfg config) *shardedEngine {
 	return e
 }
 
-func (e *shardedEngine) push(b *mat.Dense) error {
+func (e *shardedEngine) push(x, s *mat.Dense) error {
 	if e.failed != nil {
 		return e.failed
 	}
-	if err := checkBatch(b, e.rows); err != nil {
-		return err
-	}
-	if e.rows == 0 {
-		e.rows = b.Rows()
-	}
 	i := e.next
 	e.next = (e.next + 1) % len(e.subs)
-	if err := e.subs[i].push(b); err != nil {
+	if err := e.subs[i].push(x, s); err != nil {
 		if errors.Is(err, ErrEngineFailed) {
 			e.failed = err
 		}

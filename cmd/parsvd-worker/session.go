@@ -67,9 +67,8 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 
 	var (
 		copts     core.Options
-		inited    bool
-		eng       *core.Parallel
-		localRows int
+		eng       *core.Parallel // nil until INIT
+		localRows int            // 0 until the first PUSH
 	)
 	status := func(sha string) ([]byte, error) {
 		st := t.Stats()
@@ -132,51 +131,34 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 			if err := copts.Validate(); err != nil {
 				return false, fmt.Errorf("INIT spec: %w", err)
 			}
-			inited = true
+			eng = core.NewParallel(comm, copts)
 			return false, okStatus("")
-		case launch.SessPush:
-			if !inited {
+		case launch.SessPush, launch.SessPushSketch:
+			if eng == nil {
 				return false, errors.New("PUSH before INIT")
 			}
-			block, err := launch.DecodeBlock(body)
+			// A sketch carries this rank's row block of Q plus all of S;
+			// the engine applies the pair directly.
+			var x, s *mat.Dense
+			var err error
+			if verb == launch.SessPush {
+				x, err = launch.DecodeBlock(body)
+			} else {
+				x, s, err = launch.DecodeFactorPair(body)
+			}
 			if err != nil {
 				return false, err
 			}
-			if eng == nil {
-				eng = core.NewParallel(comm, copts)
-				eng.Initialize(block)
-				localRows = block.Rows()
-			} else {
-				eng.IncorporateData(block)
-			}
-			return false, okStatus("")
-		case launch.SessPushSketch:
-			if !inited {
-				return false, errors.New("PUSH-SKETCH before INIT")
-			}
-			qblock, sfull, err := launch.DecodeFactorPair(body)
-			if err != nil {
-				return false, err
-			}
-			// Reconstruct this rank's row block of the batch: the launcher
-			// scattered Q's rows, so Q_r·S is exactly the block PUSH would
-			// have carried, and the same collective update runs on it.
-			block := mat.Mul(qblock, sfull)
-			if eng == nil {
-				eng = core.NewParallel(comm, copts)
-				eng.Initialize(block)
-				localRows = block.Rows()
-			} else {
-				eng.IncorporateData(block)
-			}
+			eng.Push(x, s)
+			localRows = x.Rows()
 			return false, okStatus("")
 		case launch.SessSpectrum:
-			if eng == nil {
+			if localRows == 0 {
 				return false, errors.New("SPECTRUM before any PUSH")
 			}
 			return false, reply(launch.SessFloats, launch.EncodeFloats(eng.SingularValues()))
 		case launch.SessModesSHA:
-			if eng == nil {
+			if localRows == 0 {
 				return false, errors.New("MODES-SHA before any PUSH")
 			}
 			modes := eng.GatherModes() // collective: every rank participates
@@ -188,7 +170,7 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 		case launch.SessStats:
 			return false, okStatus("")
 		case launch.SessSave:
-			if eng == nil {
+			if localRows == 0 {
 				return false, errors.New("SAVE before any PUSH")
 			}
 			modes := eng.GatherModes() // collective

@@ -96,15 +96,15 @@ var confStreams = []struct {
 }
 
 // newConfSVD builds one backend's SVD with the shared conformance
-// options.
-func newConfSVD(t *testing.T, backend parsvd.Backend, ranks int) *parsvd.SVD {
+// options plus any extra ones.
+func newConfSVD(t *testing.T, backend parsvd.Backend, ranks int, extra ...parsvd.Option) *parsvd.SVD {
 	t.Helper()
-	opts := []parsvd.Option{
+	opts := append([]parsvd.Option{
 		parsvd.WithModes(6),
 		parsvd.WithForgetFactor(0.95),
 		parsvd.WithInitRank(16),
 		parsvd.WithBackend(backend),
-	}
+	}, extra...)
 	if backend != parsvd.Serial {
 		opts = append(opts, parsvd.WithRanks(ranks))
 	}
@@ -137,40 +137,60 @@ func skipWithoutFleet(t *testing.T) {
 	}
 }
 
-// TestConformanceFit: every stream through every backend; spectra within
-// 1e-12 pairwise, parallel and distributed modes bit-identical by hash.
+// confSketch is TestConformanceFit's sketched input: a fixed width-6
+// sketch, which compresses every 8-column batch of the conformance
+// streams, so each one reaches the engines as a factor pair.
+var confSketch = parsvd.SketchConfig{MaxRank: 6}
+
+// TestConformanceFit: every stream through every backend, raw and
+// sketched; spectra within 1e-12 pairwise (the sketch tolerance when
+// sketched: the serial engine applies the pair through the local QR from
+// its first batch, the rank-parallel ones seed APMOS with the rebuilt
+// batch), parallel and distributed modes bit-identical by hash.
 func TestConformanceFit(t *testing.T) {
 	skipWithoutFleet(t)
 	for _, stream := range confStreams {
-		t.Run(stream.name, func(t *testing.T) {
-			results := make(map[string]*parsvd.Result)
-			for _, b := range confBackends {
-				svd := newConfSVD(t, b.backend, b.ranks)
-				res, err := svd.Fit(context.Background(), stream.source(t))
-				if err != nil {
-					t.Fatalf("%s: %v", b.name, err)
+		for _, sketched := range []bool{false, true} {
+			name, tol := stream.name, confTolerance
+			var extra []parsvd.Option
+			if sketched {
+				name += "-sketched"
+				tol = sketchAdaptiveTol
+				extra = append(extra, parsvd.WithSketchedPush(confSketch))
+			}
+			t.Run(name, func(t *testing.T) {
+				results := make(map[string]*parsvd.Result)
+				for _, b := range confBackends {
+					svd := newConfSVD(t, b.backend, b.ranks, extra...)
+					res, err := svd.Fit(context.Background(), stream.source(t))
+					if err != nil {
+						t.Fatalf("%s: %v", b.name, err)
+					}
+					if res.Snapshots != 24 || res.Iterations != 2 {
+						t.Fatalf("%s counters: snapshots=%d iterations=%d, want 24/2",
+							b.name, res.Snapshots, res.Iterations)
+					}
+					if st := svd.Stats(); sketched && st.SketchedPushes != 3 {
+						t.Fatalf("%s: %d of 3 batches traveled sketched", b.name, st.SketchedPushes)
+					}
+					results[b.name] = res
 				}
-				if res.Snapshots != 24 || res.Iterations != 2 {
-					t.Fatalf("%s counters: snapshots=%d iterations=%d, want 24/2",
-						b.name, res.Snapshots, res.Iterations)
+				for _, b := range confBackends[1:] {
+					if d := maxSpectrumDiff(t, results["serial"].Singular, results[b.name].Singular); d > tol {
+						t.Errorf("serial vs %s spectrum deviates by %g, want <= %g", b.name, d, tol)
+					}
 				}
-				results[b.name] = res
-			}
-			for _, b := range confBackends[1:] {
-				if d := maxSpectrumDiff(t, results["serial"].Singular, results[b.name].Singular); d > confTolerance {
-					t.Errorf("serial vs %s spectrum deviates by %g, want <= %g", b.name, d, confTolerance)
+				// The two rank-parallel worlds ran the identical split of the
+				// identical batches: gathered modes agree bit for bit.
+				par, dist := results["parallel"], results["distributed"]
+				if dist.ModesSHA256 == "" {
+					t.Fatal("distributed result carries no modes fingerprint")
 				}
-			}
-			// The two rank-parallel worlds ran the identical split of the
-			// identical batches: gathered modes agree bit for bit.
-			par, dist := results["parallel"], results["distributed"]
-			if dist.ModesSHA256 == "" {
-				t.Fatal("distributed result carries no modes fingerprint")
-			}
-			if want := launch.HashModes(par.Modes); dist.ModesSHA256 != want {
-				t.Errorf("distributed modes hash %s != parallel modes hash %s", dist.ModesSHA256, want)
-			}
-		})
+				if want := launch.HashModes(par.Modes); dist.ModesSHA256 != want {
+					t.Errorf("distributed modes hash %s != parallel modes hash %s", dist.ModesSHA256, want)
+				}
+			})
+		}
 	}
 }
 

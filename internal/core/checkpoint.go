@@ -292,18 +292,19 @@ func ReadState(r io.Reader) (State, error) {
 	}
 	rows, cols := meta[nmeta-2], meta[nmeta-1]
 	const maxCheckpointElems = int64(1) << 34 // 128 GiB of float64s: sanity bound
-	if rows < 0 || cols < 0 || rows*cols > maxCheckpointElems {
+	// Divide rather than multiply: rows*cols can wrap past the bound.
+	if rows < 0 || cols < 0 || cols > maxCheckpointElems || (cols > 0 && rows > maxCheckpointElems/cols) {
 		return st, fmt.Errorf("%w: implausible shape %dx%d", ErrBadCheckpoint, rows, cols)
 	}
 	if ff <= 0 || ff > 1 || math.IsNaN(ff) {
 		return st, fmt.Errorf("%w: forget factor %g out of range", ErrBadCheckpoint, ff)
 	}
-	st.Singular = make([]float64, cols)
-	if err := binary.Read(r, binary.LittleEndian, st.Singular); err != nil {
+	var err error
+	if st.Singular, err = readFloats(r, cols); err != nil {
 		return st, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	data := make([]float64, rows*cols)
-	if err := binary.Read(r, binary.LittleEndian, data); err != nil {
+	data, err := readFloats(r, rows*cols)
+	if err != nil {
 		return st, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	st.Opts = Options{
@@ -322,4 +323,26 @@ func ReadState(r io.Reader) (State, error) {
 	st.Snapshots = int(ints[2])
 	st.Modes = mat.NewFromData(int(rows), int(cols), data)
 	return st, nil
+}
+
+// readChunk is how many float64s readFloats decodes per read (64 KiB).
+const readChunk = 1 << 13
+
+// readFloats reads n little-endian float64s in bounded chunks, growing the
+// result only as bytes arrive: a header that lies about the shape fails at
+// EOF after at most one chunk of allocation instead of committing the
+// declared size up front.
+func readFloats(r io.Reader, n int64) ([]float64, error) {
+	out := make([]float64, 0, min(n, readChunk))
+	buf := make([]byte, 8*min(n, readChunk))
+	for int64(len(out)) < n {
+		b := buf[:8*min(n-int64(len(out)), readChunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(b); i += 8 {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
+		}
+	}
+	return out, nil
 }

@@ -9,7 +9,8 @@
 //   - Serial is ParSVD_Serial: single-process streaming truncated SVD.
 //   - Parallel is ParSVD_Parallel: every rank holds a row block of the
 //     snapshot matrix; initialization runs APMOS and each streaming update
-//     runs a distributed QR plus a small root SVD.
+//     calls internal/stream's one update with a distributed TSQR strategy
+//     (the QR runs across ranks, the small SVD at the root).
 //
 // Both satisfy Decomposer, so analysis and post-processing code (package
 // postproc) is agnostic to the execution mode, mirroring how PyParSVD's
@@ -20,7 +21,6 @@ import (
 	"fmt"
 
 	"goparsvd/internal/apmos"
-	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
 	"goparsvd/internal/rla"
@@ -128,6 +128,10 @@ func (s *Serial) IncorporateData(a *mat.Dense) Decomposer {
 	return s
 }
 
+// Push ingests one batch in factor form x·sk (sk nil for a raw batch):
+// the first push initializes, later ones stream (stream.SVD.Push).
+func (s *Serial) Push(x, sk *mat.Dense) { s.svd.Push(x, sk) }
+
 // Modes returns the current M×K truncated left singular vectors.
 func (s *Serial) Modes() *mat.Dense { return s.svd.Modes() }
 
@@ -152,12 +156,10 @@ type Parallel struct {
 	iteration int
 	snapshots int
 
-	// ws recycles this rank's update temporaries across batches; matrices
-	// that cross rank boundaries are still allocated by the communicator.
-	ws mat.Workspace
-	// pb batches this rank's tall mode-update product into row panels that
-	// share one packed right-hand side.
-	pb mat.PanelBatch
+	// up is the streaming update with the TSQR strategy; its workspace
+	// recycles this rank's temporaries across batches, while matrices that
+	// cross rank boundaries are still allocated by the communicator.
+	up stream.Update
 }
 
 var _ Decomposer = (*Parallel)(nil)
@@ -168,7 +170,9 @@ func NewParallel(c *mpi.Comm, opts Options) *Parallel {
 	if c == nil {
 		panic("core: NewParallel needs a communicator; use NewSerial for single-process runs")
 	}
-	return &Parallel{opts: opts.validated(), comm: c}
+	opts = opts.validated()
+	return &Parallel{opts: opts, comm: c,
+		up: stream.Update{QR: tsqrQR{c}, LowRank: opts.LowRank, RLA: opts.RLA}}
 }
 
 // Rank returns this engine's rank in the communicator.
@@ -202,77 +206,60 @@ func (p *Parallel) Initialize(a *mat.Dense) Decomposer {
 // paper's Listing 2 `incorporate_data` → Listing 4 `parallel_qr`).
 func (p *Parallel) IncorporateData(a *mat.Dense) Decomposer {
 	p.mustBeInitialized()
-	if a.Rows() != p.rows {
-		panic(fmt.Sprintf("core: batch has %d rows, want %d", a.Rows(), p.rows))
-	}
-	if a.Cols() == 0 {
-		return p
-	}
-	// The forget factor folds into the diagonal scaling pass and all local
-	// temporaries come from the per-rank workspace (mirroring the serial
-	// streaming engine's zero-allocation steady state).
-	k0 := p.ulocal.Cols()
-	scaled := p.ws.GetUninit(p.rows, k0)
-	mat.MulDiagScaledInto(scaled, p.opts.ForgetFactor, p.ulocal, p.singular)
-	ll := p.ws.GetUninit(p.rows, k0+a.Cols())
-	mat.HStackInto(ll, scaled, a)
-	p.ws.Put(scaled)
-	qlocal, unew, snew := p.parallelQR(ll)
-	p.ws.Put(ll)
-	k := p.opts.K
-	if k > len(snew) {
-		k = len(snew)
-	}
-	usub := p.ws.GetUninit(unew.Rows(), k)
-	unew.SliceColsInto(usub, 0, k)
-	next := p.ws.GetUninit(qlocal.Rows(), k)
-	p.pb.MulInto(next, qlocal, usub)
-	p.ws.Put(usub)
-	p.ws.Put(unew)
-	p.ws.Put(qlocal)
-	p.ws.Put(p.ulocal) // recycle the previous local modes storage
-	p.ulocal = next
-	p.singular = append(p.singular[:0], snew[:k]...)
-	p.iteration++
-	p.snapshots += a.Cols()
+	p.Push(a, nil)
 	return p
 }
 
-// parallelQR is Listing 4: distributed TSQR of the row-distributed ll,
-// then the small SVD ("step b of Levy-Lindenbaum") of the global R at rank
-// 0, broadcast to everyone.
-func (p *Parallel) parallelQR(ll *mat.Dense) (qlocal, unew *mat.Dense, snew []float64) {
-	qlocal, rfinal := tsqr.GatherQRWith(&p.ws, p.comm, ll)
-	if p.comm.Rank() == 0 {
-		if p.opts.LowRank {
-			k := p.opts.K
-			if t := minInt(rfinal.Rows(), rfinal.Cols()); k > t {
-				k = t
-			}
-			var err error
-			unew, snew, err = rla.LowRankSVDWith(&p.ws, rfinal, k, p.opts.RLA)
-			if err != nil {
-				// Options are validated at construction and rfinal is never
-				// empty, so a rejection here is a broken internal invariant.
-				panic(fmt.Sprintf("core: low-rank parallel QR: %v", err))
-			}
-		} else {
-			var v *mat.Dense
-			unew, snew, v = linalg.SVDWith(&p.ws, rfinal)
-			p.ws.Put(v)
+// Push ingests this rank's row block of one batch in factor form x·s
+// (s nil: x is the raw block; otherwise x is the rank's rows of a sketch
+// basis and s the full projection). The first push seeds the engine
+// through APMOS (Listing 3), which needs the raw block, so a sketched
+// first batch is multiplied out here — the only place a sketch is ever
+// rebuilt. Every later push runs the streaming update on the pair.
+func (p *Parallel) Push(x, s *mat.Dense) {
+	if p.ulocal == nil {
+		if s != nil {
+			x = mat.Mul(x, s)
 		}
-		p.ws.Put(rfinal)
+		p.Initialize(x)
+		return
 	}
-	// Broadcast returns a fresh copy on every rank, including the root;
-	// recycle the root's pre-broadcast factors instead of dropping them.
-	uroot, sroot := unew, snew
-	unew = p.comm.BcastMatrix(0, unew)
-	snew = p.comm.BcastFloats(0, snew)
-	if p.comm.Rank() == 0 {
-		p.ws.Put(uroot)
-		p.ws.PutFloats(sroot)
+	if x.Rows() != p.rows {
+		panic(fmt.Sprintf("core: batch has %d rows, want %d", x.Rows(), p.rows))
 	}
-	return qlocal, unew, snew
+	b := x.Cols()
+	if s != nil {
+		b = s.Cols()
+	}
+	if b == 0 {
+		return
+	}
+	next, sv, _ := p.up.Step(p.ulocal, p.singular, p.opts.ForgetFactor, x, s, p.opts.K, p.singular)
+	p.up.Workspace().Put(p.ulocal) // recycle the previous local modes storage
+	p.ulocal, p.singular = next, sv
+	p.iteration++
+	p.snapshots += b
+}
+
+// tsqrQR is the parallel engine's update strategy (Listing 4): the gather
+// TSQR of the row-distributed stack, the small SVD on rank 0 only, and a
+// broadcast of its factors to every rank.
+type tsqrQR struct{ comm *mpi.Comm }
+
+func (t tsqrQR) Factor(ws *mat.Workspace, a *mat.Dense) (q, r *mat.Dense) {
+	return tsqr.GatherQRWith(ws, t.comm, a)
+}
+
+func (t tsqrQR) Share(ws *mat.Workspace, u *mat.Dense, s []float64) (*mat.Dense, []float64) {
+	bu := t.comm.BcastMatrix(0, u)
+	bs := t.comm.BcastFloats(0, s)
+	if t.comm.Rank() == 0 {
+		// Broadcast returns a fresh copy on the root too; recycle the
+		// pre-broadcast factors instead of dropping them.
+		ws.Put(u)
+		ws.PutFloats(s)
+	}
+	return bu, bs
 }
 
 // Modes returns this rank's M_i×K slice of the truncated left singular
@@ -311,11 +298,4 @@ func (p *Parallel) mustBeInitialized() {
 	if p.ulocal == nil {
 		panic("core: Parallel not initialized; call Initialize with the first batch")
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

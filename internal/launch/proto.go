@@ -19,8 +19,8 @@ package launch
 //	          bit-exact float64 framing the rank mesh itself uses)
 //	PUSH-SKETCH body = factor-pair body (EncodeFactorPair): this rank's row
 //	          block of the orthonormal sketch basis Q plus the full L×B
-//	          projection S = QᵀA; the worker reconstructs its row block of
-//	          the batch as Q_r·S and feeds the same update path as PUSH,
+//	          projection S = QᵀA; the worker applies the pair in the
+//	          same update path as PUSH, without forming Q_r·S,
 //	          so only L·(M_r+B) floats cross the wire per rank instead of
 //	          the raw M_r×B block
 //	SPECTRUM  empty body; every rank replies FLOATS(singular values)
@@ -202,9 +202,9 @@ func ReadSessionFrame(r io.Reader) (verb byte, body []byte, err error) {
 		return 0, nil, fmt.Errorf("launch: short session frame: %w", err)
 	}
 	remaining := int(n) - 1
-	body = make([]byte, 0, minInt(remaining, frameChunk))
+	body = make([]byte, 0, min(remaining, frameChunk))
 	for remaining > 0 {
-		chunk := minInt(remaining, frameChunk)
+		chunk := min(remaining, frameChunk)
 		off := len(body)
 		body = append(body, make([]byte, chunk)...)
 		if _, err = io.ReadFull(r, body[off:]); err != nil {
@@ -318,11 +318,4 @@ func DecodeStatus(body []byte) (SessionStatus, error) {
 		return SessionStatus{}, fmt.Errorf("launch: malformed session status: %w", err)
 	}
 	return st, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

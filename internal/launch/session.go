@@ -407,89 +407,67 @@ func (w *sessWorker) drain() {
 // would be rejected (dimension mismatch, non-finite values) is reported
 // as a plain error and does NOT fail the session — no rank has seen it,
 // so the fleet stays consistent and usable.
-func (s *Session) Push(b *mat.Dense) error {
-	if s.failed != nil {
-		return s.failed
-	}
-	if s.closed {
-		return fmt.Errorf("launch: session is closed")
-	}
-	if b == nil || b.IsEmpty() {
-		return fmt.Errorf("launch: empty snapshot batch")
-	}
-	if s.rows == 0 {
-		if b.Rows() < s.cfg.Ranks {
-			return fmt.Errorf("launch: %d snapshot rows cannot be split across %d ranks", b.Rows(), s.cfg.Ranks)
-		}
-	} else if b.Rows() != s.rows {
-		return fmt.Errorf("launch: batch has %d rows, want %d", b.Rows(), s.rows)
-	}
-	for _, v := range b.RawData() {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("launch: snapshot batch contains a non-finite value (%g)", v)
-		}
-	}
-	parts := s.parts
-	if s.rows == 0 {
-		parts = grid.Partition(b.Rows(), s.cfg.Ranks)
-	}
-	if _, err := s.op(SessPush, func(r int) []byte {
-		return EncodeBlock(b.SliceRows(parts[r].Start, parts[r].End))
-	}); err != nil {
-		return err
-	}
-	if s.rows == 0 {
-		s.rows, s.parts = b.Rows(), parts
-	}
-	return nil
-}
+func (s *Session) Push(b *mat.Dense) error { return s.push(b, nil) }
 
 // PushSketch scatters one compressed snapshot batch: each rank receives
 // its contiguous row block of the orthonormal sketch basis q (the same
-// grid.Partition split Push uses) plus the full L×B projection sk, and
-// reconstructs its row block of the batch as Q_r·S before entering the
-// same collective update PUSH drives. Only L·(M_r+B) floats cross the
-// wire per rank instead of the raw M_r×B block. Validation happens here,
-// before any frame is written, so a bad pair does not fail the session.
-func (s *Session) PushSketch(q, sk *mat.Dense) error {
+// split Push uses) plus the full L×B projection sk, and the workers apply
+// the pair in the same collective update PUSH drives (a first batch,
+// which seeds APMOS, is multiplied out there). Only L·(M_r+B) floats
+// cross the wire per rank instead of the raw M_r×B block. Validation is
+// Push's, so a bad pair does not fail the session either.
+func (s *Session) PushSketch(q, sk *mat.Dense) error { return s.push(q, sk) }
+
+// push validates and scatters the batch x·sk (sk nil: x is the raw
+// batch) as PUSH or PUSH-SKETCH frames.
+func (s *Session) push(x, sk *mat.Dense) error {
 	if s.failed != nil {
 		return s.failed
 	}
 	if s.closed {
 		return fmt.Errorf("launch: session is closed")
 	}
-	if q == nil || q.IsEmpty() || sk == nil || sk.IsEmpty() {
-		return fmt.Errorf("launch: empty sketch factor pair")
+	if x == nil || x.IsEmpty() || (sk != nil && sk.IsEmpty()) {
+		return fmt.Errorf("launch: empty snapshot batch")
 	}
-	if q.Cols() != sk.Rows() {
+	if sk != nil && x.Cols() != sk.Rows() {
 		return fmt.Errorf("launch: factor pair has mismatched inner dimension: Q is %dx%d, S is %dx%d",
-			q.Rows(), q.Cols(), sk.Rows(), sk.Cols())
+			x.Rows(), x.Cols(), sk.Rows(), sk.Cols())
 	}
 	if s.rows == 0 {
-		if q.Rows() < s.cfg.Ranks {
-			return fmt.Errorf("launch: %d snapshot rows cannot be split across %d ranks", q.Rows(), s.cfg.Ranks)
+		if x.Rows() < s.cfg.Ranks {
+			return fmt.Errorf("launch: %d snapshot rows cannot be split across %d ranks", x.Rows(), s.cfg.Ranks)
 		}
-	} else if q.Rows() != s.rows {
-		return fmt.Errorf("launch: sketch factor Q has %d rows, want %d", q.Rows(), s.rows)
+	} else if x.Rows() != s.rows {
+		return fmt.Errorf("launch: batch has %d rows, want %d", x.Rows(), s.rows)
 	}
-	for _, m := range []*mat.Dense{q, sk} {
+	for _, m := range []*mat.Dense{x, sk} {
+		if m == nil {
+			continue
+		}
 		for _, v := range m.RawData() {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("launch: sketch factor pair contains a non-finite value (%g)", v)
+				return fmt.Errorf("launch: snapshot batch contains a non-finite value (%g)", v)
 			}
 		}
 	}
 	parts := s.parts
 	if s.rows == 0 {
-		parts = grid.Partition(q.Rows(), s.cfg.Ranks)
+		parts = grid.Partition(x.Rows(), s.cfg.Ranks)
 	}
-	if _, err := s.op(SessPushSketch, func(r int) []byte {
-		return EncodeFactorPair(q.SliceRows(parts[r].Start, parts[r].End), sk)
-	}); err != nil {
+	verb, body := SessPush, func(r int) []byte {
+		return EncodeBlock(x.SliceRows(parts[r].Start, parts[r].End))
+	}
+	if sk != nil {
+		verb, body = SessPushSketch, func(r int) []byte {
+			return EncodeFactorPair(x.SliceRows(parts[r].Start, parts[r].End), sk)
+		}
+	}
+	if _, err := s.op(verb, body); err != nil {
 		return err
 	}
 	if s.rows == 0 {
-		s.rows, s.parts = q.Rows(), parts
+		s.rows, s.parts = x.Rows(), parts
 	}
 	return nil
 }

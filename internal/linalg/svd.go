@@ -454,10 +454,3 @@ func golubReinsch(uD *mat.Dense, w []float64, vD *mat.Dense) error {
 	}
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

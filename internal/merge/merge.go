@@ -19,10 +19,11 @@
 // accumulated into the Bound field — an Iwen–Ong-style additive error
 // bound that survives composition up a merge tree.
 //
-// The hot path mirrors internal/stream's streaming update: every
-// temporary comes from a mat.Workspace and the tall product runs through
-// a mat.PanelBatch, so steady-state merging of same-shaped partials
-// performs no heap allocations.
+// The pair step is internal/stream's streaming update with unit weight:
+// Merger.Pair calls stream.Update with the first partial as the running
+// factorization and X = U₂·diag(Σ₂) as the batch. Every temporary comes
+// from the update's workspace, so steady-state merging of same-shaped
+// partials performs no heap allocations.
 package merge
 
 import (
@@ -32,8 +33,8 @@ import (
 	"runtime"
 	"sync"
 
-	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
+	"goparsvd/internal/stream"
 )
 
 // Partial is one partial factorization in a merge set: the truncated
@@ -76,8 +77,7 @@ func (p *Partial) validate() error {
 // ready to use; a Merger must not be used from multiple goroutines
 // concurrently.
 type Merger struct {
-	ws mat.Workspace
-	pb mat.PanelBatch
+	up stream.Update
 }
 
 // Pair merges a and b into dst, truncating to at most k modes.
@@ -106,50 +106,20 @@ func (m *Merger) Pair(dst, a, b *Partial, k int) error {
 		return fmt.Errorf("merge: partials have %d and %d rows; shards must share the snapshot row dimension",
 			rows, b.U.Rows())
 	}
-	ka, kb := a.U.Cols(), b.U.Cols()
-
-	// Stack [U₁·diag(Σ₁) | U₂·diag(Σ₂)]: the scaling folds into one
-	// diagonal pass per side, exactly like the streaming update's
-	// forget-factor pass.
-	scaledA := m.ws.GetUninit(rows, ka)
-	mat.MulDiagScaledInto(scaledA, 1, a.U, a.S)
-	scaledB := m.ws.GetUninit(rows, kb)
-	mat.MulDiagScaledInto(scaledB, 1, b.U, b.S)
-	concat := m.ws.GetUninit(rows, ka+kb)
-	mat.HStackInto(concat, scaledA, scaledB)
-	m.ws.Put(scaledA)
-	m.ws.Put(scaledB)
-
-	q, r := linalg.QRWith(&m.ws, concat)
-	m.ws.Put(concat)
-	u, s, v := linalg.SVDWith(&m.ws, r)
-	m.ws.Put(v)
-	m.ws.Put(r)
-
-	kk := k
-	if kk > len(s) {
-		kk = len(s)
-	}
-	// The Frobenius norm of the discarded tail, accumulated additively
-	// with the operands' own bounds (Iwen–Ong).
+	// The second partial enters as the batch X = U₂·diag(Σ₂); the update
+	// scales the first by unit weight and stacks [U₁·diag(Σ₁) | X]. dst
+	// aliases neither input, so its modes can go back to the pool first.
+	m.Release(dst)
+	ws := m.up.Workspace()
+	x := ws.GetUninit(rows, b.U.Cols())
+	mat.MulDiagScaledInto(x, 1, b.U, b.S)
 	var tail float64
-	for _, sv := range s[kk:] {
-		tail += sv * sv
-	}
-	usub := m.ws.GetUninit(u.Rows(), kk)
-	u.SliceColsInto(usub, 0, kk)
-	if dst.U != nil {
-		m.ws.Put(dst.U)
-	}
-	dst.U = m.ws.GetUninit(rows, kk)
-	m.pb.MulInto(dst.U, q, usub)
-	dst.S = append(dst.S[:0], s[:kk]...)
-	m.ws.Put(usub)
-	m.ws.Put(u)
-	m.ws.PutFloats(s)
-	m.ws.Put(q)
+	dst.U, dst.S, tail = m.up.Step(a.U, a.S, 1, x, nil, k, dst.S)
+	ws.Put(x)
 
-	dst.Bound = a.Bound + b.Bound + math.Sqrt(tail)
+	// The discarded tail accumulates additively with the operands' own
+	// bounds (Iwen–Ong).
+	dst.Bound = a.Bound + b.Bound + tail
 	dst.Iterations = a.Iterations + b.Iterations + 1
 	dst.Snapshots = a.Snapshots + b.Snapshots
 	return nil
@@ -159,7 +129,7 @@ func (m *Merger) Pair(dst, a, b *Partial, k int) error {
 // merger's workspace. Safe on a zero Partial.
 func (m *Merger) Release(p *Partial) {
 	if p != nil && p.U != nil {
-		m.ws.Put(p.U)
+		m.up.Workspace().Put(p.U)
 		p.U = nil
 	}
 }

@@ -247,10 +247,3 @@ func SketchFactors(a *mat.Dense, tol float64, block, maxRank int, opts Options) 
 	}
 	return q, mat.MulTransA(q, a), nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

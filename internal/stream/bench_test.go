@@ -56,3 +56,20 @@ func BenchmarkIncorporateLowRank(b *testing.B) {
 		s.IncorporateData(next)
 	}
 }
+
+func BenchmarkIncorporatePairSteadyState(b *testing.B) {
+	// Regression gate for the zero-allocation sketched update: a factor
+	// pair Q·S (Q 2048×20 orthonormal, S 20×16) stands in for a 2048×16
+	// batch against K = 10 modes. Once the workspace is warm, Push applies
+	// the pair without forming the product and reports 0 allocs/op.
+	b.ReportAllocs()
+	rng := testutil.NewRand(5)
+	q := testutil.RandomOrthonormal(2048, 20, rng)
+	sk := testutil.RandomDense(20, 16, rng)
+	s := New(Options{K: 10, FF: 0.95}).Initialize(testutil.RandomDense(2048, 16, rng))
+	s.Push(q, sk) // warm the workspace
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Push(q, sk)
+	}
+}

@@ -6,12 +6,16 @@
 // The streaming state after ingesting batches A_0 … A_i approximates the
 // truncated SVD of [ff^i·A_0 | … | ff·A_{i−1} | A_i]; with ff = 1 and K at
 // least the matrix rank it reproduces the one-shot SVD exactly.
+//
+// The package also hosts that update itself, written once (Update): the
+// parallel engine (internal/core) runs it with a distributed TSQR
+// strategy, and the pairwise merge (internal/merge) calls it with unit
+// weight. Sketched batches reach it as factor pairs on every path.
 package stream
 
 import (
 	"fmt"
 
-	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/rla"
 )
@@ -64,17 +68,15 @@ type SVD struct {
 	snapshots   int
 	initialized bool
 
-	// ws recycles every temporary of the update across iterations; once
-	// batch shapes are steady the per-batch update allocates nothing.
-	ws mat.Workspace
-	// pb batches the tall mode-update products into row panels sharing one
-	// packed right-hand side; its headers are recycled alongside ws.
-	pb mat.PanelBatch
+	// up is the update step; its workspace recycles every temporary, and
+	// the modes storage, across iterations.
+	up Update
 }
 
 // New returns an empty streaming SVD with the given options.
 func New(opts Options) *SVD {
-	return &SVD{opts: opts.validated()}
+	opts = opts.validated()
+	return &SVD{opts: opts, up: Update{LowRank: opts.LowRank, RLA: opts.RLA}}
 }
 
 // Restore rebuilds a streaming SVD from previously captured state (the
@@ -109,15 +111,14 @@ func Restore(opts Options, modes *mat.Dense, singular []float64, iterations, sna
 		return nil, fmt.Errorf("stream: Restore counters invalid: iterations=%d snapshots=%d (modes %dx%d)",
 			iterations, snapshots, modes.Rows(), modes.Cols())
 	}
-	return &SVD{
-		opts:        opts.validated(),
-		modes:       modes,
-		singular:    append([]float64(nil), singular...),
-		rows:        modes.Rows(),
-		iterations:  iterations,
-		snapshots:   snapshots,
-		initialized: true,
-	}, nil
+	s := New(opts)
+	s.modes = modes
+	s.singular = append([]float64(nil), singular...)
+	s.rows = modes.Rows()
+	s.iterations = iterations
+	s.snapshots = snapshots
+	s.initialized = true
+	return s, nil
 }
 
 // Initialized reports whether Initialize has been called.
@@ -153,32 +154,12 @@ func (s *SVD) mustBeInitialized() {
 
 // Initialize seeds the decomposition with the first batch A_0 (M×B): a QR
 // factorization followed by an SVD of the small R factor (Algorithm 1,
-// steps I1–I2).
+// steps I1–I2) — the update with no modes yet.
 func (s *SVD) Initialize(a *mat.Dense) *SVD {
 	if s.initialized {
 		panic("stream: Initialize called twice; use IncorporateData for new batches")
 	}
-	m, b := a.Dims()
-	if m == 0 || b == 0 {
-		panic("stream: empty initial batch")
-	}
-	q, r := linalg.QRWith(&s.ws, a)
-	ui, d := s.smallSVD(r)
-	s.ws.Put(r)
-	k := min(s.opts.K, len(d))
-	usub := s.ws.GetUninit(ui.Rows(), k)
-	ui.SliceColsInto(usub, 0, k)
-	s.modes = s.ws.GetUninit(m, k)
-	s.pb.MulInto(s.modes, q, usub)
-	s.ws.Put(usub)
-	s.ws.Put(ui)
-	s.ws.Put(q)
-	s.singular = append([]float64(nil), d[:k]...)
-	s.ws.PutFloats(d)
-	s.rows = m
-	s.snapshots = b
-	s.initialized = true
-	return s
+	return s.Push(a, nil)
 }
 
 // IncorporateData ingests a new batch A_i (M×B), updating the truncated
@@ -189,70 +170,36 @@ func (s *SVD) Initialize(a *mat.Dense) *SVD {
 //	U_i = U′·Ũ[:, :K],  D_i = D̃[:K]
 func (s *SVD) IncorporateData(a *mat.Dense) *SVD {
 	s.mustBeInitialized()
-	m, b := a.Dims()
-	if m != s.rows {
+	return s.Push(a, nil)
+}
+
+// Push ingests one batch in factor form x·sk. With sk nil, x is the raw
+// M×B batch; otherwise x is an M×L range basis and sk the L×B projection
+// of a sketched batch, applied without forming the product. The first
+// push initializes the decomposition, every later one is the forget-
+// factor-weighted update. Every temporary comes from the update's
+// workspace, so the steady-state push performs no heap allocations.
+func (s *SVD) Push(x, sk *mat.Dense) *SVD {
+	m, b := x.Dims()
+	if sk != nil {
+		b = sk.Cols()
+	}
+	if !s.initialized && (m == 0 || b == 0) {
+		panic("stream: empty initial batch")
+	}
+	if s.initialized && m != s.rows {
 		panic(fmt.Sprintf("stream: batch has %d rows, want %d", m, s.rows))
 	}
 	if b == 0 {
 		return s
 	}
-	// Scale the running factorization by the forget factor and append the
-	// new snapshots (Listing 1: m_ap = ff·U·diag(D); concat). The forget
-	// factor is folded into the diagonal scaling pass, and every temporary
-	// below comes from the iteration workspace, so the steady-state update
-	// performs no heap allocations.
-	k0 := s.modes.Cols()
-	scaled := s.ws.GetUninit(m, k0)
-	mat.MulDiagScaledInto(scaled, s.opts.FF, s.modes, s.singular)
-	concat := s.ws.GetUninit(m, k0+b)
-	mat.HStackInto(concat, scaled, a)
-	s.ws.Put(scaled)
-
-	udash, ddash := linalg.QRWith(&s.ws, concat)
-	s.ws.Put(concat)
-	utilde, dtilde := s.smallSVD(ddash)
-	s.ws.Put(ddash)
-	k := min(s.opts.K, len(dtilde))
-	usub := s.ws.GetUninit(utilde.Rows(), k)
-	utilde.SliceColsInto(usub, 0, k)
-	next := s.ws.GetUninit(m, k)
-	s.pb.MulInto(next, udash, usub)
-	s.ws.Put(usub)
-	s.ws.Put(utilde)
-	s.ws.Put(udash)
-	s.ws.Put(s.modes) // recycle the previous modes storage
-	s.modes = next
-	s.singular = append(s.singular[:0], dtilde[:k]...)
-	s.ws.PutFloats(dtilde)
-	s.iterations++
+	next, sv, _ := s.up.Step(s.modes, s.singular, s.opts.FF, x, sk, s.opts.K, s.singular)
+	s.up.Workspace().Put(s.modes) // recycle the previous modes storage
+	s.modes, s.singular = next, sv
+	if s.initialized {
+		s.iterations++
+	}
+	s.rows, s.initialized = m, true
 	s.snapshots += b
 	return s
-}
-
-// smallSVD factorizes the small (batch-sized) matrix produced by the QR
-// step, optionally with the randomized algorithm. Singular values are
-// returned in descending order, which subsumes Listing 1's argsort. The
-// returned factors are workspace-owned; the caller puts them back.
-func (s *SVD) smallSVD(r *mat.Dense) (*mat.Dense, []float64) {
-	if s.opts.LowRank {
-		t := min(r.Rows(), r.Cols())
-		u, d, err := rla.LowRankSVDWith(&s.ws, r, min(s.opts.K, t), s.opts.RLA)
-		if err != nil {
-			// Options are validated before ingest and r is never empty
-			// here, so rla cannot reject the rank; a failure is a broken
-			// internal invariant, not a caller mistake.
-			panic(fmt.Sprintf("stream: low-rank small SVD: %v", err))
-		}
-		return u, d
-	}
-	u, d, v := linalg.SVDWith(&s.ws, r)
-	s.ws.Put(v)
-	return u, d
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

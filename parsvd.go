@@ -235,7 +235,10 @@ type deadlineAware interface {
 	setDeadline(t time.Time)
 }
 type engine interface {
-	push(b *mat.Dense) error
+	// push ingests one batch in factor form x·s: s nil means x is the raw
+	// M×B batch, otherwise x is a sketch's M×L basis and s its L×B
+	// projection. The facade has validated both against the rows seen.
+	push(x, s *mat.Dense) error
 	result() (*Result, error)
 	// save serializes the engine state; a non-nil res is a result just
 	// produced by result(), letting the parallel backend skip a second
@@ -423,10 +426,10 @@ func (s *SVD) Push(batch *Matrix) error {
 // batches the sketch cannot compress fall through to the raw path.
 // Called with s.mu held.
 func (s *SVD) pushLocked(b *Matrix) error {
+	if err := checkBatch(b, nil, s.rows); err != nil {
+		return err
+	}
 	if s.cfg.sketchOn {
-		if err := checkBatch(b, s.rows); err != nil {
-			return err
-		}
 		q, sk, err := sketchBatch(b, s.cfg.sketch, s.cfg.rlaOpts)
 		if err != nil {
 			return err
@@ -435,7 +438,7 @@ func (s *SVD) pushLocked(b *Matrix) error {
 			return s.pushSketchLocked(q, sk)
 		}
 	}
-	if err := s.eng.push(b); err != nil {
+	if err := s.eng.push(b, nil); err != nil {
 		return err
 	}
 	raw := 8 * int64(b.Rows()*b.Cols())

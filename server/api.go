@@ -104,9 +104,9 @@ type PushAck struct {
 
 // SketchPushJSON is the wire form of a sketched push: the compressed
 // (Q, S) factor pair parsvd.Sketch produces from an M×B batch, carrying
-// L·(M+B) values instead of M·B. The server reconstructs Q·S on its side
-// of the wire (or forwards the pair to a distributed fleet), so the
-// ingress payload — and the WAL record — stay compressed.
+// L·(M+B) values instead of M·B. The model's engine applies the pair
+// directly (or forwards it to a distributed fleet), so the ingress
+// payload — and the WAL record — stay compressed.
 type SketchPushJSON struct {
 	Q MatrixJSON `json:"q"`
 	S MatrixJSON `json:"s"`

@@ -185,9 +185,9 @@ func (m *model) coalesce(first *pushReq) []*pushReq {
 	reqs := []*pushReq{first}
 	// A merge or sketched push never coalesces with anything: each is one
 	// engine operation with its own WAL record, applied exactly at its
-	// queue position. (Stacking reconstructed sketches with raw batches
-	// would force the reconstruction onto the ingest loop and log the
-	// expanded rows, forfeiting the compression the sender paid for.)
+	// queue position. (Stacking sketches with raw batches would force
+	// multiplying them out on the ingest loop and log the expanded rows,
+	// forfeiting the compression the sender paid for.)
 	if first.mergeCkpt != nil || first.sketchQ != nil {
 		return reqs
 	}
@@ -296,7 +296,7 @@ func (m *model) applyMerge(req *pushReq) {
 
 // applySketch ingests one compressed (Q, S) factor pair through
 // SVD.PushSketch, under the same durability barrier as a push: the WAL
-// record carries the pair in its compressed form (the reconstruction is
+// record carries the pair in its compressed form (applying it is
 // deterministic, so replay is bit-exact) and is durable before the
 // sender sees its ack.
 func (m *model) applySketch(req *pushReq) {

@@ -349,7 +349,7 @@ func (s *Server) restoreModel(name string) error {
 			expected = seq
 			// A merge record replays through Merge (re-absorbing the
 			// logged checkpoint), a sketch record through PushSketch (the
-			// compressed pair reconstructs deterministically, so replay is
+			// compressed pair applies deterministically, so replay is
 			// bit-exact), a batch record through Push — the same
 			// operations, in the same order, as the original ingest.
 			if isMergePayload(payload) {

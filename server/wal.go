@@ -107,8 +107,8 @@ func mergeCheckpoint(payload []byte) []byte { return payload[len(mergeMagic):] }
 
 // sketchMagic prefixes a WAL record that carries a sketched push: the
 // compressed (Q, S) factor pair is logged exactly as it arrived — never
-// the reconstructed Q·S — so the log stays as small as the wire traffic
-// and replay reproduces the identical deterministic reconstruction. Like
+// the product Q·S — so the log stays as small as the wire traffic and
+// replay reproduces the identical deterministic update. Like
 // mergeMagic, the 8 non-zero ASCII bytes cannot collide with a batch
 // record (whose first 8 bytes are the always-zero little-endian Tag).
 var sketchMagic = []byte("GPSVSKCH")

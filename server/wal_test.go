@@ -37,6 +37,10 @@ func bootCrashable(t *testing.T, cfg server.Config) *crashableServer {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A crashed server's models keep running, and their periodic
+	// checkpoints would race the removal of the test's TempDir; stop them
+	// once the test is over (cleanups run before that removal).
+	t.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv.Handler())
 	return &crashableServer{srv: srv, ts: ts, c: client.New(ts.URL)}
 }

@@ -4,27 +4,18 @@ package parsvd
 // 1502.05366): the sketch, not the data, crosses the wire. An M×B batch A
 // is compressed into the factor pair (Q, S) with A ≈ Q·S — Q an M×L
 // orthonormal range basis from internal/rla, S = QᵀA the L×B projection —
-// and only L·(M+B) floats travel instead of M·B. Engines that understand
-// the pair (the Distributed backend's worker fleet) reconstruct on their
-// side of the wire; the in-process backends reconstruct here and push the
-// product, which still pays off when the sketch itself was produced
-// remotely (the serving layer's sketched ingest).
+// and only L·(M+B) floats travel instead of M·B. Every backend applies the
+// pair directly: the streaming update factors [ff·U·diag(Σ) | Q] and maps
+// R back through blockdiag(I, S), so the M×B product is never formed. The
+// one exception is a rank-parallel engine's first batch, which seeds the
+// engine through APMOS and is multiplied out there.
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
-	"goparsvd/internal/mat"
 	"goparsvd/internal/rla"
 )
-
-// sketchReceiver is the optional engine extension for backends that can
-// ship the compressed factor pair instead of reconstructed rows. Engines
-// without it get the facade-side reconstruction through plain push.
-type sketchReceiver interface {
-	pushSketch(q, s *mat.Dense) error
-}
 
 // Sketch compresses an M×B snapshot batch into the factor pair (q, s)
 // with batch ≈ q·s — the same compression WithSketchedPush applies before
@@ -49,7 +40,7 @@ func Sketch(batch *Matrix, cfg SketchConfig, opts ...RLA) (q, s *Matrix, err err
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := checkBatch(batch, 0); err != nil {
+	if err := checkBatch(batch, nil, 0); err != nil {
 		return nil, nil, err
 	}
 	return sketchBatch(batch, cfg, ro)
@@ -88,38 +79,14 @@ func sketchBatch(batch *Matrix, cfg SketchConfig, ro RLA) (*Matrix, *Matrix, err
 	return q, s, nil
 }
 
-// checkFactorPair validates a sketched pair against the rows seen so far,
-// mirroring checkBatch for raw pushes: nothing on the public path panics.
-func checkFactorPair(q, s *Matrix, rows int) error {
-	if q == nil || q.IsEmpty() || s == nil || s.IsEmpty() {
-		return errors.New("parsvd: empty sketch factor pair")
-	}
-	if q.Cols() != s.Rows() {
-		return fmt.Errorf("parsvd: sketch factor pair has mismatched inner dimension: Q is %dx%d, S is %dx%d",
-			q.Rows(), q.Cols(), s.Rows(), s.Cols())
-	}
-	if rows != 0 && q.Rows() != rows {
-		return fmt.Errorf("parsvd: sketch factor Q has %d rows, want %d", q.Rows(), rows)
-	}
-	for _, m := range []*Matrix{q, s} {
-		for _, v := range m.RawData() {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("parsvd: sketch factor pair contains a non-finite value (%g)", v)
-			}
-		}
-	}
-	return nil
-}
-
 // PushSketch ingests one snapshot batch in compressed factor form: q
 // (M×L) times s (L×B) stands in for the M×B batch it was sketched from.
 // Pairs come from Sketch on a producer machine, from the serving layer's
 // sketched ingest, or from a WAL replay of a sketched push. PushSketch
-// works on any SVD regardless of WithSketchedPush: the Distributed
-// backend ships the pair over the wire and reconstructs rank-local row
-// blocks on the workers; the in-process backends reconstruct q·s here
-// and push the product. Replaying the same pair reproduces the same
-// update bit-exactly — reconstruction is deterministic.
+// works on any SVD regardless of WithSketchedPush: every backend applies
+// the pair directly (the Distributed backend ships it over the wire,
+// each rank receiving its row block of q and all of s). Replaying the
+// same pair reproduces the same update bit-exactly.
 func (s *SVD) PushSketch(q, sk *Matrix) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -129,28 +96,26 @@ func (s *SVD) PushSketch(q, sk *Matrix) error {
 	return s.pushSketchLocked(q, sk)
 }
 
-// pushSketchLocked forwards a validated factor pair to the engine —
-// compressed when it understands the form, reconstructed otherwise — and
+// pushSketchLocked forwards a validated factor pair to the engine and
 // maintains the ingest and wire counters. Called with s.mu held.
 func (s *SVD) pushSketchLocked(q, sk *Matrix) error {
-	if err := checkFactorPair(q, sk, s.rows); err != nil {
+	if sk == nil {
+		return errors.New("parsvd: empty sketch factor pair")
+	}
+	if err := checkBatch(q, sk, s.rows); err != nil {
 		return err
 	}
-	m, l, bcols := q.Rows(), q.Cols(), sk.Cols()
-	if sr, ok := s.eng.(sketchReceiver); ok {
-		if err := sr.pushSketch(q, sk); err != nil {
-			return err
-		}
-		// The scatter ships each rank its row block of Q (M·L floats in
-		// total) and replicates S to every rank.
-		s.wireBytes += 8 * int64(m*l+l*bcols*s.cfg.ranks)
-	} else {
-		if err := s.eng.push(Mul(q, sk)); err != nil {
-			return err
-		}
-		// One in-process copy of the pair stands in for the raw batch.
-		s.wireBytes += 8 * int64(l*(m+bcols))
+	if err := s.eng.push(q, sk); err != nil {
+		return err
 	}
+	// In-process engines receive one copy of the pair; the distributed
+	// scatter ships each rank its row block of Q and a replica of S.
+	m, l, bcols := q.Rows(), q.Cols(), sk.Cols()
+	replicas := 1
+	if s.cfg.backend == Distributed {
+		replicas = s.cfg.ranks
+	}
+	s.wireBytes += 8 * int64(m*l+l*bcols*replicas)
 	s.pushedBytes += 8 * int64(m*bcols)
 	s.sketchedPushes++
 	if s.rows == 0 {
