@@ -29,11 +29,12 @@ fmt:
 race:
 	$(GO) test -race ./...
 
-# Multi-process smoke: 4 parsvd-worker OS processes over loopback TCP,
-# verified bit-for-bit against the in-process transport and against the
-# serial reference. Fast enough for every CI run.
+# Multi-process smoke: persistent 2- and 4-rank parsvd-worker fleets over
+# loopback TCP, fed snapshot batches over the wire and verified
+# bit-for-bit against the in-process transport, for rank agreement on σ,
+# and against the serial reference. Fast enough for every CI run.
 smoke:
-	$(GO) test -short -run 'TestTCPFourRankSmoke' -v ./internal/launch
+	$(GO) test -short -run 'TestSessionWireFedMatchesInProcess' -v ./internal/launch
 
 worker:
 	$(GO) build -o bin/parsvd-worker ./cmd/parsvd-worker
@@ -42,21 +43,31 @@ worker:
 # whole deterministic workload, fed real snapshot batches over the wire
 # (stdin frames -> row scatter -> TCP collectives), must match the serial
 # reference within 1e-12. The launcher side runs under the race detector;
-# the cross-backend conformance + fault-injection suites ride along.
+# the cross-backend conformance + fault-injection suites ride along. Last,
+# the parsvd-scaling TCP launcher runs a 1/2/4-rank series whose every
+# point must match the in-process run bit for bit (it exits nonzero on a
+# mismatch).
 dist-smoke:
 	CI=1 $(GO) test -race -count 1 -v \
 		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedWorkerDeath|TestDistributedCloseReaps' .
 	CI=1 $(GO) test -race -count 1 -run 'TestSession' ./internal/launch
+	@out=$$(mktemp -d); \
+	$(GO) run ./cmd/parsvd-scaling -transport tcp -ranks 1,2,4 -rows-per-rank 64 \
+		-snapshots 48 -k 6 -r1 16 -outdir "$$out"; status=$$?; \
+	rm -rf "$$out"; exit $$status
 
 # One pass over the committed fuzz seed corpora plus a short live fuzz of
-# the session frame/payload decoders and the checkpoint reader (truncated
-# frames, hostile lengths and shapes, non-finite payloads must error,
-# never panic or allocate what a header merely claims).
+# the session frame/payload decoders, the checkpoint reader and the
+# server's WAL payload decoders (truncated frames, hostile lengths and
+# shapes, non-finite payloads must error, never panic or allocate what a
+# header merely claims).
 fuzz-smoke:
 	$(GO) test -run 'Fuzz|TestDecodeBlock|TestReadSessionFrame' ./internal/launch
 	$(GO) test -run 'FuzzReadState|TestReadStateHostileShape' ./internal/core
+	$(GO) test -run 'FuzzWALPayload' ./server
 	$(GO) test -fuzz FuzzDecodeBlock -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzReadState -fuzztime 10s -run '^$$' ./internal/core
+	$(GO) test -fuzz FuzzWALPayload -fuzztime 10s -run '^$$' ./server
 
 # Serving smoke: boot the HTTP server on a random port, create a model,
 # stream the deterministic FromWorkload batches at it through the typed

@@ -10,14 +10,15 @@
 //     model extends the series to 16384 ranks. Honest wall clock, but
 //     ranks beyond the local core count time-share the CPU.
 //
-//   - tcp: a launcher mode. For every rank count, N parsvd-worker OS
-//     processes are spawned, connect over loopback TCP (the
-//     internal/mpi/tcptransport fabric), and run the full distributed
-//     *streaming* SVD end to end over real sockets. Each point is
-//     verified bit-for-bit against the in-process run of the identical
-//     deterministic workload before it is reported, and the per-rank
-//     byte counts from the worker processes feed the same scaling
-//     tables. The command exits nonzero on any mismatch.
+//   - tcp: a launcher mode. For every rank count, a persistent fleet of
+//     N parsvd-worker OS processes is started (internal/launch.Session),
+//     connected over loopback TCP (the internal/mpi/tcptransport
+//     fabric), and fed the workload's snapshot batches over the wire.
+//     The reported time is the launcher's wall clock over the push loop;
+//     the communication volume is the fleet's summed payload traffic.
+//     Each point is verified bit-for-bit against the in-process run of
+//     the identical deterministic workload before it is reported, and
+//     the command exits nonzero on any failure or mismatch.
 //
 // Outputs: a CSV per series in -outdir, tables on stdout.
 package main
@@ -26,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -33,6 +35,7 @@ import (
 	"time"
 
 	"goparsvd/internal/launch"
+	"goparsvd/internal/mpi"
 	"goparsvd/internal/scaling"
 )
 
@@ -58,8 +61,7 @@ func main() {
 		lowRank   = flag.Bool("lowrank", false, "tcp mode: use the randomized SVD pipeline")
 		seed      = flag.Int64("seed", 7, "tcp mode: randomized-SVD sketch seed")
 		workerBin = flag.String("worker", "", "tcp mode: parsvd-worker binary (default: $PARSVD_WORKER, sibling, PATH, then go build)")
-		verify    = flag.Bool("verify", true, "tcp mode: check each point bit-for-bit against the in-process run")
-		timeout   = flag.Duration("timeout", 5*time.Minute, "tcp mode: per-point job timeout")
+		timeout   = flag.Duration("timeout", 5*time.Minute, "tcp mode: per-operation timeout (fleet start, each push, each read)")
 	)
 	flag.Parse()
 
@@ -91,7 +93,7 @@ func main() {
 		}
 		runTCPMode(tcpConfig{
 			workload: w, ranks: ranks, workerBin: *workerBin,
-			verify: *verify, timeout: *timeout, outdir: *outdir,
+			timeout: *timeout, outdir: *outdir,
 		})
 	default:
 		log.Fatalf("unknown -transport %q (want chan or tcp)", *transport)
@@ -143,12 +145,11 @@ type tcpConfig struct {
 	workload  scaling.StreamWorkload
 	ranks     []int
 	workerBin string
-	verify    bool
 	timeout   time.Duration
 	outdir    string
 }
 
-// runTCPMode launches one multi-process TCP job per rank count, verifies
+// runTCPMode measures one wire-fed worker fleet per rank count, verifies
 // each against the in-process reference, and reports the socket-measured
 // scaling series.
 func runTCPMode(cfg tcpConfig) {
@@ -161,26 +162,12 @@ func runTCPMode(cfg tcpConfig) {
 
 	points := make([]scaling.Point, 0, len(cfg.ranks))
 	for _, p := range cfg.ranks {
-		log.Printf("launching %d worker process(es)…", p)
-		res, err := launch.Run(launch.Config{
-			Ranks:     p,
-			WorkerBin: cfg.workerBin,
-			Workload:  cfg.workload,
-			Timeout:   cfg.timeout,
-		})
+		log.Printf("starting %d worker process(es)…", p)
+		pt, err := tcpPoint(cfg, p)
 		if err != nil {
-			log.Fatalf("%d-rank TCP job failed: %v", p, err)
+			log.Fatalf("%d ranks: %v", p, err)
 		}
-		if cfg.verify {
-			if err := launch.VerifyAgainstInProcess(p, cfg.workload, res); err != nil {
-				log.Fatalf("%d ranks: VERIFICATION FAILED: %v", p, err)
-			}
-			log.Printf("%d ranks: verified — singular values and modes match the in-process run bit-for-bit", p)
-		}
-		agg := res.MPIStats()
-		log.Printf("%d ranks: %d msgs, %d payload bytes, root incast %d bytes",
-			p, agg.Messages, agg.Bytes, agg.RecvBytes[0])
-		points = append(points, scaling.MultiProcessPoint(p, res.RankStats()))
+		points = append(points, pt)
 	}
 	scaling.FillEfficiency(points)
 
@@ -190,6 +177,80 @@ func runTCPMode(cfg tcpConfig) {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nartifacts written to %s\n", cfg.outdir)
+}
+
+// tcpPoint pushes the workload's global batches through a fresh
+// ranks-process session and checks the result bit for bit against the
+// in-process run. Seconds is the launcher's wall clock over the push
+// loop; CommBytes is the fleet's summed payload traffic, read after the
+// closing mode gather.
+func tcpPoint(cfg tcpConfig, ranks int) (scaling.Point, error) {
+	w, o := cfg.workload, cfg.workload.CoreOptions()
+	s, err := launch.StartSession(launch.SessionConfig{
+		Ranks:     ranks,
+		WorkerBin: cfg.workerBin,
+		OpTimeout: cfg.timeout,
+		Spec: launch.EngineSpec{K: o.K, FF: o.ForgetFactor, R1: o.R1, Method: int(o.Method), LowRank: o.LowRank,
+			Oversample: o.RLA.Oversample, PowerIters: o.RLA.PowerIters, Seed: o.RLA.Seed},
+	})
+	if err != nil {
+		return scaling.Point{}, err
+	}
+	defer s.Close()
+
+	bc := w.BurgersConfig(ranks)
+	start := time.Now()
+	for lo, hi := 0, w.BatchEnd(0); lo < w.Snapshots; lo, hi = hi, w.BatchEnd(hi) {
+		if err := s.Push(bc.Block(0, bc.Nx, lo, hi)); err != nil {
+			return scaling.Point{}, err
+		}
+	}
+	elapsed := time.Since(start)
+
+	singular, err := s.Spectrum()
+	if err != nil {
+		return scaling.Point{}, err
+	}
+	sha, err := s.ModesSHA()
+	if err != nil {
+		return scaling.Point{}, err
+	}
+	if err := verifyInProcess(ranks, w, singular, sha); err != nil {
+		return scaling.Point{}, fmt.Errorf("VERIFICATION FAILED: %w", err)
+	}
+	st := s.Stats()
+	log.Printf("%d ranks: verified — singular values and modes match the in-process run bit-for-bit; %d msgs, %d payload bytes",
+		ranks, st.Messages, st.Bytes)
+	if err := s.Close(); err != nil {
+		return scaling.Point{}, err
+	}
+	return scaling.Point{Ranks: ranks, Seconds: elapsed.Seconds(), CommBytes: st.Bytes}, nil
+}
+
+// verifyInProcess replays the workload on the in-process channel fabric
+// and demands the wire-fed fleet's exact result: the same singular-value
+// bit patterns and the same SHA-256 of the gathered modes.
+func verifyInProcess(ranks int, w scaling.StreamWorkload, singular []float64, sha string) error {
+	var ref scaling.StreamResult
+	if _, err := mpi.Run(ranks, func(c *mpi.Comm) {
+		if r := scaling.RunStream(c, w); c.Rank() == 0 {
+			ref = r
+		}
+	}); err != nil {
+		return fmt.Errorf("in-process reference run: %w", err)
+	}
+	if len(singular) != len(ref.Singular) {
+		return fmt.Errorf("%d singular values, in-process run has %d", len(singular), len(ref.Singular))
+	}
+	for i := range singular {
+		if math.Float64bits(singular[i]) != math.Float64bits(ref.Singular[i]) {
+			return fmt.Errorf("sigma[%d]: tcp %g, in-process %g", i, singular[i], ref.Singular[i])
+		}
+	}
+	if want := launch.HashModes(ref.Modes); sha != want {
+		return fmt.Errorf("gathered modes diverge from the in-process run (sha %s vs %s)", sha, want)
+	}
+	return nil
 }
 
 func parseRanks(s string) ([]int, error) {

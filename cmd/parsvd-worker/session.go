@@ -20,13 +20,11 @@ import (
 	"goparsvd/internal/rla"
 )
 
-// runSession is the worker's `-session` mode: instead of replaying a
-// workload and exiting, the process stays alive as one rank of a
-// persistent world, reading framed commands from stdin and answering on
-// stdout (see internal/launch/proto.go). Snapshot data arrives over the
-// wire — the launcher scatters row blocks — and the rank's core engine
-// incorporates it through the same collective pipeline the one-shot mode
-// runs.
+// runSession runs this process as one rank of a persistent world,
+// reading framed commands from stdin and answering on stdout (see
+// internal/launch/proto.go). Snapshot data arrives over the wire — the
+// launcher scatters row blocks — and the rank's core engine incorporates
+// it through the collective update pipeline.
 //
 // Every command is answered by exactly one reply frame. Any failure —
 // a malformed frame, an engine panic, an abort echo from a dying peer —

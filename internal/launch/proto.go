@@ -1,12 +1,9 @@
 package launch
 
 // The session protocol: the framed stdin/stdout command stream between a
-// launcher and a persistent parsvd-worker fleet (worker `-session` mode).
-//
-// Where the original one-shot protocol was line-oriented ("replay a
-// workload, print one result line"), a session keeps every worker process
-// alive and feeds it real data over the wire. Frames share the shape of
-// the tcptransport wire format:
+// launcher and a persistent parsvd-worker fleet. A session keeps every
+// worker process alive and feeds it real data over the wire. Frames share
+// the shape of the tcptransport wire format:
 //
 //	frame := length:u32le  verb:u8  body
 //
@@ -35,8 +32,7 @@ package launch
 //
 //	RENDEZVOUS body = rank 0's mesh rendezvous address (printed before the
 //	           TCP fabric is established, so the launcher can spawn the
-//	           other ranks); session-mode replacement of the
-//	           "PARSVD-RENDEZVOUS <addr>" stdout line
+//	           other ranks)
 //	OK         body = JSON SessionStatus (rank, traffic counters, ingest
 //	           counters, optional modes hash)
 //	FLOATS     body = data body carrying a vector
@@ -52,6 +48,7 @@ package launch
 // kills the fleet.
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -307,6 +304,27 @@ func DecodeFloats(body []byte) ([]float64, error) {
 		return nil, fmt.Errorf("launch: FLOATS payload carries a %dx%d matrix, want a vector", m.Rows, m.Cols)
 	}
 	return m.Data, nil
+}
+
+// HashModes fingerprints a mode matrix for exact cross-process comparison
+// (the MODES-SHA digest): SHA-256 over the dims plus the row-major float64
+// payload rendered as IEEE-754 little-endian bits. Both the worker
+// (reporting) and the launcher's callers (verifying against an in-process
+// reference) use this, so a single flipped mantissa bit anywhere in an
+// M×K mode matrix fails the match.
+func HashModes(m *mat.Dense) string {
+	h := sha256.New()
+	var buf [8]byte
+	r, c := m.Dims()
+	binary.LittleEndian.PutUint64(buf[:], uint64(r))
+	h.Write(buf[:])
+	binary.LittleEndian.PutUint64(buf[:], uint64(c))
+	h.Write(buf[:])
+	for _, v := range m.RawData() {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // EncodeStatus / DecodeStatus render the OK-reply JSON.

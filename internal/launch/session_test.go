@@ -2,6 +2,7 @@ package launch
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os/exec"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 
 	"goparsvd/internal/core"
 	"goparsvd/internal/mpi"
+	"goparsvd/internal/postproc"
 	"goparsvd/internal/scaling"
 )
 
@@ -49,34 +51,36 @@ func startTestSession(t *testing.T, ranks int, w scaling.StreamWorkload) *Sessio
 func pushWorkload(t *testing.T, s *Session, ranks int, w scaling.StreamWorkload) {
 	t.Helper()
 	bc := w.BurgersConfig(ranks)
-	for col := 0; col < w.Snapshots; {
-		width := w.Batch
-		if col == 0 {
-			width = w.InitBatch
+	for lo, hi := 0, w.BatchEnd(0); lo < w.Snapshots; lo, hi = hi, w.BatchEnd(hi) {
+		if err := s.Push(bc.Block(0, bc.Nx, lo, hi)); err != nil {
+			t.Fatalf("push [%d,%d): %v", lo, hi, err)
 		}
-		hi := col + width
-		if hi > w.Snapshots {
-			hi = w.Snapshots
-		}
-		if err := s.Push(bc.Block(0, bc.Nx, col, hi)); err != nil {
-			t.Fatalf("push [%d,%d): %v", col, hi, err)
-		}
-		col = hi
 	}
 }
 
 // TestSessionWireFedMatchesInProcess is the session-protocol acceptance
-// test: a persistent 2-rank fleet fed real snapshot blocks over its stdin
-// must reproduce the in-process channel-transport run of the identical
-// batches bit for bit — spectrum and gathered-modes hash — and its SAVE
-// checkpoint must load as a serial engine holding that exact state.
+// test and the `make smoke` gate: a persistent fleet of real worker
+// processes fed snapshot blocks over its stdin must reproduce the
+// in-process channel-transport run of the identical batches bit for bit
+// (spectrum and gathered-modes hash), agree on σ across every rank, stay
+// within tolerance of the serial streaming reference, and save a
+// checkpoint that loads as a serial engine holding that exact state.
 func TestSessionWireFedMatchesInProcess(t *testing.T) {
-	const ranks = 2
+	for _, ranks := range []int{2, 4} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			testSessionWireFed(t, ranks)
+		})
+	}
+}
+
+func testSessionWireFed(t *testing.T, ranks int) {
 	w := sessionWorkload()
 	s := startTestSession(t, ranks, w)
 	defer s.Close()
 	pushWorkload(t, s, ranks, w)
 
+	// Spectrum collects every rank's copy and fails the session unless
+	// they all match rank 0's bit for bit.
 	singular, err := s.Spectrum()
 	if err != nil {
 		t.Fatalf("spectrum: %v", err)
@@ -108,6 +112,25 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 		t.Errorf("modes hash: wire-fed %s, in-process %s", sha, want)
 	}
 
+	// The distributed result matches the serial streaming engine within
+	// tolerance (different arithmetic path, same decomposition). The
+	// in-process modes hash equals the wire-fed one (checked above), so
+	// comparing the in-process modes against serial covers the fleet's.
+	ser := scaling.RunStreamSerial(ranks, w)
+	if len(singular) != len(ser.Singular) {
+		t.Fatalf("mode count: wire-fed %d, serial %d", len(singular), len(ser.Singular))
+	}
+	for i := range singular {
+		if d := math.Abs(singular[i] - ser.Singular[i]); d > 1e-6*math.Max(1, ser.Singular[i]) {
+			t.Errorf("sigma[%d]: wire-fed %g vs serial %g", i, singular[i], ser.Singular[i])
+		}
+	}
+	for _, e := range postproc.CompareModes(ser.Modes, ref.Modes)[:2] {
+		if e.MaxAbs > 1e-4 {
+			t.Errorf("mode %d: max|serial-distributed| = %.3e, want < 1e-4", e.Mode+1, e.MaxAbs)
+		}
+	}
+
 	// The gathered checkpoint is a facade-compatible serial checkpoint of
 	// exactly this state.
 	blob, err := s.Save()
@@ -128,6 +151,7 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 		t.Errorf("checkpoint snapshots = %d, want %d", eng.SnapshotsSeen(), w.Snapshots)
 	}
 
+	// Traffic counters made it across the process boundary.
 	st := s.Stats()
 	if st.Messages == 0 || st.Bytes == 0 {
 		t.Errorf("session traffic counters empty: %+v", st)
@@ -139,9 +163,28 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 	if st.Iterations != wantIters {
 		t.Errorf("session iterations = %d, want %d", st.Iterations, wantIters)
 	}
+	t.Logf("%d-rank session: %d msgs, %d bytes sent", ranks, st.Messages, st.Bytes)
 
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestWorkerFailurePropagates: a lone rank 0 of a 2-rank world never
+// completes its rendezvous, so it must give up after its dial timeout and
+// exit nonzero instead of hanging.
+func TestWorkerFailurePropagates(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skipf("no Go toolchain to build parsvd-worker: %v", err)
+	}
+	bin, err := ResolveWorker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "-rank", "0", "-np", "2", "-dial-timeout", "2s")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("lone rank 0 of a 2-rank world exited cleanly:\n%s", out)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 )
 
 // StreamWorkload is the deterministic distributed streaming-SVD workload
-// shared by every execution mode: the in-process goroutine world, the
-// multi-process TCP world (cmd/parsvd-worker), and the serial reference.
+// shared by every execution mode: the in-process goroutine world, a
+// wire-fed worker fleet (cmd/parsvd-scaling -transport tcp), and the
+// serial reference.
 // The snapshot matrix is the analytic Burgers solution, so any two runs
 // with the same parameters see bit-identical inputs — which is what lets
 // the launcher demand bit-identical outputs across transports.
@@ -77,12 +78,27 @@ func (w StreamWorkload) Validate() error {
 
 // BurgersConfig is the shared snapshot generator for the given world size:
 // any consumer that replays it (the parsvd facade's workload Source, the
-// serial reference, the TCP workers) sees bit-identical inputs.
+// serial reference, a launcher feeding worker processes) sees
+// bit-identical inputs.
 func (w StreamWorkload) BurgersConfig(ranks int) burgers.Config {
 	return burgers.Config{L: 1, Re: 1000, Nx: w.RowsPerRank * ranks, Nt: w.Snapshots, TFinal: 2}
 }
 
-func (w StreamWorkload) coreOptions() core.Options {
+// BatchEnd returns the end column of the batch that starts at column lo:
+// the first batch is InitBatch wide, every later one Batch wide, and the
+// last is clipped to Snapshots. Every runner walks the stream with it, so
+// serial, in-process, wire-fed and facade runs see identical batches.
+func (w StreamWorkload) BatchEnd(lo int) int {
+	width := w.Batch
+	if lo == 0 {
+		width = w.InitBatch
+	}
+	return min(lo+width, w.Snapshots)
+}
+
+// CoreOptions is the engine configuration every runner of the workload
+// uses, in process or shipped to worker processes.
+func (w StreamWorkload) CoreOptions() core.Options {
 	return core.Options{
 		K:            w.K,
 		ForgetFactor: w.FF,
@@ -105,9 +121,9 @@ type StreamResult struct {
 
 // RunStream executes the full distributed streaming pipeline as one rank
 // of c's world: APMOS initialization on the first InitBatch columns, then
-// streaming IncorporateData updates over the remainder, and a final mode
-// gather at rank 0. It is transport-agnostic — the same function body runs
-// over goroutine ranks and over TCP worker processes.
+// streaming updates over the remainder, and a final mode gather at rank
+// 0. Each rank pushes its row block of every batch, exactly as a worker
+// process does when a launcher scatters the batch to it.
 func RunStream(c *mpi.Comm, w StreamWorkload) StreamResult {
 	if err := w.Validate(); err != nil {
 		panic(err)
@@ -116,14 +132,9 @@ func RunStream(c *mpi.Comm, w StreamWorkload) StreamResult {
 	parts := bc.Partition(c.Size())
 	r0, r1 := parts[c.Rank()][0], parts[c.Rank()][1]
 
-	eng := core.NewParallel(c, w.coreOptions())
-	eng.Initialize(bc.Block(r0, r1, 0, w.InitBatch))
-	for col := w.InitBatch; col < w.Snapshots; col += w.Batch {
-		hi := col + w.Batch
-		if hi > w.Snapshots {
-			hi = w.Snapshots
-		}
-		eng.IncorporateData(bc.Block(r0, r1, col, hi))
+	eng := core.NewParallel(c, w.CoreOptions())
+	for lo, hi := 0, w.BatchEnd(0); lo < w.Snapshots; lo, hi = hi, w.BatchEnd(hi) {
+		eng.Push(bc.Block(r0, r1, lo, hi), nil)
 	}
 	modes := eng.GatherModes()
 	return StreamResult{
@@ -141,61 +152,13 @@ func RunStreamSerial(ranks int, w StreamWorkload) StreamResult {
 		panic(err)
 	}
 	bc := w.BurgersConfig(ranks)
-	eng := core.NewSerial(w.coreOptions())
-	eng.Initialize(bc.Block(0, bc.Nx, 0, w.InitBatch))
-	for col := w.InitBatch; col < w.Snapshots; col += w.Batch {
-		hi := col + w.Batch
-		if hi > w.Snapshots {
-			hi = w.Snapshots
-		}
-		eng.IncorporateData(bc.Block(0, bc.Nx, col, hi))
+	eng := core.NewSerial(w.CoreOptions())
+	for lo, hi := 0, w.BatchEnd(0); lo < w.Snapshots; lo, hi = hi, w.BatchEnd(hi) {
+		eng.Push(bc.Block(0, bc.Nx, lo, hi), nil)
 	}
 	return StreamResult{
 		Singular:   append([]float64(nil), eng.SingularValues()...),
 		Modes:      eng.Modes().Clone(),
 		Iterations: eng.Iterations(),
 	}
-}
-
-// RankStats is one worker process's traffic and timing report — the
-// multi-process analogue of one rank's slice of mpi.Stats. The launcher
-// collects one per worker and aggregates them, so the per-rank byte counts
-// of a real socket run feed the same scaling tables as the in-process
-// counters.
-type RankStats struct {
-	Rank      int     `json:"rank"`
-	Messages  int64   `json:"messages"`
-	BytesSent int64   `json:"bytes_sent"`
-	BytesRecv int64   `json:"bytes_recv"`
-	Seconds   float64 `json:"seconds"`
-}
-
-// AggregateStats merges per-process reports into a world-level mpi.Stats:
-// totals are summed and each report contributes its own rank's receive
-// count.
-func AggregateStats(ranks int, rs []RankStats) mpi.Stats {
-	agg := mpi.Stats{Ranks: ranks, RecvBytes: make([]int64, ranks)}
-	for _, s := range rs {
-		agg.Messages += s.Messages
-		agg.Bytes += s.BytesSent
-		if s.Rank >= 0 && s.Rank < ranks {
-			agg.RecvBytes[s.Rank] = s.BytesRecv
-		}
-	}
-	return agg
-}
-
-// MultiProcessPoint folds per-worker reports into one weak-scaling row:
-// the slowest rank sets the time (the job is done when the last rank is)
-// and the summed payload traffic sets the communication volume.
-func MultiProcessPoint(ranks int, rs []RankStats) Point {
-	var p Point
-	p.Ranks = ranks
-	for _, s := range rs {
-		if s.Seconds > p.Seconds {
-			p.Seconds = s.Seconds
-		}
-		p.CommBytes += s.BytesSent
-	}
-	return p
 }

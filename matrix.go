@@ -23,7 +23,9 @@ func NewMatrixFromData(r, c int, data []float64) (*Matrix, error) {
 	if r < 0 || c < 0 {
 		return nil, fmt.Errorf("parsvd: NewMatrixFromData: negative dims %dx%d", r, c)
 	}
-	if len(data) != r*c {
+	// Divide rather than multiply: r·c of decoded (untrusted) dims can wrap
+	// around to len(data) and pass a product check.
+	if n := len(data); (r == 0 && n != 0) || (r != 0 && (n%r != 0 || n/r != c)) {
 		return nil, fmt.Errorf("parsvd: NewMatrixFromData: %d values for a %dx%d matrix", len(data), r, c)
 	}
 	return mat.NewFromData(r, c, data), nil

@@ -226,14 +226,7 @@ func (s *workloadSource) Next(ctx context.Context) (*Matrix, error) {
 	if s.pos >= s.w.Snapshots {
 		return nil, io.EOF
 	}
-	width := s.w.Batch
-	if s.pos == 0 {
-		width = s.w.InitBatch
-	}
-	end := s.pos + width
-	if end > s.w.Snapshots {
-		end = s.w.Snapshots
-	}
+	end := s.w.BatchEnd(s.pos)
 	bc := s.w.BurgersConfig(s.ranks)
 	b := bc.Block(0, bc.Nx, s.pos, end)
 	s.pos = end
