@@ -58,9 +58,10 @@ dist-smoke:
 
 # One pass over the committed fuzz seed corpora plus a short live fuzz of
 # the session frame/payload decoders, the checkpoint reader and the
-# server's WAL payload decoders (truncated frames, hostile lengths and
+# server's WAL record codec (truncated frames, hostile lengths and
 # shapes, non-finite payloads must error, never panic or allocate what a
-# header merely claims).
+# header merely claims; an accepted WAL record must re-encode to the
+# same bytes).
 fuzz-smoke:
 	$(GO) test -run 'Fuzz|TestDecodeBlock|TestReadSessionFrame' ./internal/launch
 	$(GO) test -run 'FuzzReadState|TestReadStateHostileShape' ./internal/core

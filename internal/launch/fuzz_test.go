@@ -126,37 +126,65 @@ func mustDecodeFloats(t *testing.T, body []byte) []float64 {
 	return v
 }
 
-// TestDecodeBlockRejectsHostileInputs pins the decoder's hard rejections
-// outside the fuzzer (so `go test` alone proves them): truncation,
-// oversize declared counts, dimension lies and non-finite payloads all
+// TestDecodeBlockRejectsHostileInputs pins the hard rejections of the
+// block decoder and of the factor-pair decoder built on it (which parses
+// PUSH-SKETCH frames and the server's WAL sketch records alike) outside
+// the fuzzer, so `go test` alone proves them: truncation, oversize
+// declared lengths, dimension lies, tags and non-finite payloads all
 // error — never panic, never allocate the declared size.
 func TestDecodeBlockRejectsHostileInputs(t *testing.T) {
+	block := func(b []byte) error { _, err := DecodeBlock(b); return err }
+	pair := func(b []byte) error { _, _, err := DecodeFactorPair(b); return err }
 	good := EncodeBlock(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6}))
-	cases := map[string][]byte{
-		"empty":     nil,
-		"short":     good[:16],
-		"truncated": good[:len(good)-8],
+	q := mat.NewFromData(4, 2, []float64{1, 0, 0, 1, 0, 0, 0, 0})
+	goodPair := EncodeFactorPair(q, mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6}))
+	type input struct {
+		decode func([]byte) error
+		data   []byte
+	}
+	cases := map[string]input{
+		"empty":     {block, nil},
+		"short":     {block, good[:16]},
+		"truncated": {block, good[:len(good)-8]},
 	}
 	lie := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(lie[24:], 1<<40) // count ≫ payload
-	cases["count lie"] = lie
+	cases["count lie"] = input{block, lie}
 	zero := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(zero[8:], 0) // rows = 0
-	cases["zero rows"] = zero
+	cases["zero rows"] = input{block, zero}
+	tag := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(tag[0:], 7) // no writer sets a tag
+	cases["nonzero tag"] = input{block, tag}
 	wrap := EncodeBlock(mat.NewFromData(1, 8, []float64{1, 2, 3, 4, 5, 6, 7, 8}))
 	binary.LittleEndian.PutUint64(wrap[8:], 1<<61|1) // (2^61+1)·8 wraps to 8
-	cases["dims product overflow"] = wrap
+	cases["dims product overflow"] = input{block, wrap}
 	nan := EncodeBlock(mat.NewFromData(1, 2, []float64{math.NaN(), 1}))
-	cases["nan payload"] = nan
+	cases["nan payload"] = input{block, nan}
 	inf := EncodeBlock(mat.NewFromData(1, 2, []float64{1, math.Inf(1)}))
-	cases["inf payload"] = inf
-	for name, data := range cases {
-		if _, err := DecodeBlock(data); err == nil {
-			t.Errorf("%s: DecodeBlock accepted hostile input", name)
+	cases["inf payload"] = input{block, inf}
+
+	qPast := append([]byte(nil), goodPair...)
+	binary.LittleEndian.PutUint32(qPast, uint32(len(goodPair))) // Q runs past the body
+	cases["pair Q length past body"] = input{pair, qPast}
+	qMax := append([]byte(nil), goodPair...)
+	binary.LittleEndian.PutUint32(qMax, 1<<32-1)
+	cases["pair Q length 2^32-1"] = input{pair, qMax}
+	cases["pair inner dimension mismatch"] = input{pair,
+		EncodeFactorPair(q, mat.NewFromData(3, 2, []float64{1, 2, 3, 4, 5, 6}))}
+	cases["pair NaN in S"] = input{pair,
+		EncodeFactorPair(q, mat.NewFromData(2, 1, []float64{1, math.NaN()}))}
+	cases["pair empty S"] = input{pair, goodPair[:4+binary.LittleEndian.Uint32(goodPair)]}
+	for name, c := range cases {
+		if c.decode(c.data) == nil {
+			t.Errorf("%s: decoder accepted hostile input", name)
 		}
 	}
-	if _, err := DecodeBlock(good); err != nil {
+	if err := block(good); err != nil {
 		t.Errorf("well-formed block rejected: %v", err)
+	}
+	if err := pair(goodPair); err != nil {
+		t.Errorf("well-formed factor pair rejected: %v", err)
 	}
 }
 

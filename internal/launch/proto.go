@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
@@ -212,24 +213,36 @@ func ReadSessionFrame(r io.Reader) (verb byte, body []byte, err error) {
 	return vb[0], body, nil
 }
 
+// blockLen is the size of m's data body: the tag, rows, cols and count
+// words (u64le each), then 8 bytes per value.
+func blockLen(m *mat.Dense) int { return 32 + 8*len(m.RawData()) }
+
 // EncodeBlock renders a matrix block as a data body (the PUSH payload),
 // bit-for-bit via the tcptransport float64 framing.
-func EncodeBlock(m *mat.Dense) []byte {
+func EncodeBlock(m *mat.Dense) []byte { return appendBlock(nil, m) }
+
+// appendBlock appends m's data body to dst, growing dst at most once.
+func appendBlock(dst []byte, m *mat.Dense) []byte {
 	r, c := m.Dims()
-	return tcptransport.AppendMessageBody(nil, mpi.Message{Rows: r, Cols: c, Data: m.RawData()})
+	dst = slices.Grow(dst, blockLen(m))
+	return tcptransport.AppendMessageBody(dst, mpi.Message{Rows: r, Cols: c, Data: m.RawData()})
 }
 
 // DecodeBlock parses a PUSH payload back into a matrix, enforcing the
 // invariants a snapshot block must satisfy before it may enter a
-// collective update: positive dims, a payload length matching them, and
-// finite values only. NaN or Inf snapshot data is rejected here — at the
-// protocol boundary — because a non-finite batch would otherwise poison
-// the decomposition silently (or desynchronize ranks that validate
-// differently).
+// collective update: a zero tag, positive dims, a payload length
+// matching them, and finite values only. Every block it accepts
+// re-encodes to the same bytes. NaN or Inf snapshot data is rejected
+// here — at the protocol boundary — because a non-finite batch would
+// otherwise poison the decomposition silently (or desynchronize ranks
+// that validate differently).
 func DecodeBlock(body []byte) (*mat.Dense, error) {
 	m, err := tcptransport.DecodeMessageBody(body)
 	if err != nil {
 		return nil, err
+	}
+	if m.Tag != 0 {
+		return nil, fmt.Errorf("launch: snapshot block with nonzero tag %d", m.Tag)
 	}
 	if m.Rows < 1 || m.Cols < 1 {
 		return nil, fmt.Errorf("launch: snapshot block with non-positive dims %dx%d", m.Rows, m.Cols)
@@ -253,19 +266,22 @@ func DecodeBlock(body []byte) (*mat.Dense, error) {
 // as the PUSH-SKETCH payload: a u32le length prefix over Q's data body,
 // then Q's body, then S's body — both in the same bit-exact float64
 // framing as PUSH, so a replayed pair reconstructs identically.
-func EncodeFactorPair(q, s *mat.Dense) []byte {
-	qb := EncodeBlock(q)
-	sb := EncodeBlock(s)
-	out := make([]byte, 4, 4+len(qb)+len(sb))
-	binary.LittleEndian.PutUint32(out, uint32(len(qb)))
-	out = append(out, qb...)
-	return append(out, sb...)
+func EncodeFactorPair(q, s *mat.Dense) []byte { return AppendFactorPair(nil, q, s) }
+
+// AppendFactorPair appends the factor-pair body of (q, s) to dst,
+// growing dst at most once.
+func AppendFactorPair(dst []byte, q, s *mat.Dense) []byte {
+	qlen := blockLen(q)
+	dst = slices.Grow(dst, 4+qlen+blockLen(s))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(qlen))
+	return appendBlock(appendBlock(dst, q), s)
 }
 
 // DecodeFactorPair parses a PUSH-SKETCH payload, enforcing the pair
 // invariants at the protocol boundary: both factors pass DecodeBlock's
-// dimension and finiteness checks, and Q's column count matches S's row
-// count so the reconstruction Q·S is well-formed.
+// checks, and Q's column count matches S's row count so the
+// reconstruction Q·S is well-formed. Every pair it accepts re-encodes to
+// the same bytes.
 func DecodeFactorPair(body []byte) (q, s *mat.Dense, err error) {
 	if len(body) < 4 {
 		return nil, nil, fmt.Errorf("launch: factor-pair payload of %d bytes is too short", len(body))

@@ -380,7 +380,7 @@ func (s *SVD) Fit(ctx context.Context, src Source) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("parsvd: source: %w", err)
 		}
-		if err := s.pushLocked(b); err != nil {
+		if err := s.pushLocked(b, nil); err != nil {
 			// A push that failed because the context expired mid-wire
 			// reports the context error, like any other ctx-aware API.
 			if ctxErr := ctx.Err(); ctxErr != nil {
@@ -417,37 +417,56 @@ func (s *SVD) Push(batch *Matrix) error {
 	if s.closed {
 		return errors.New("parsvd: Push on closed SVD")
 	}
-	return s.pushLocked(batch)
+	return s.pushLocked(batch, nil)
 }
 
-// pushLocked forwards a batch to the engine and maintains the ingest
-// counters behind Stats. With WithSketchedPush the batch is compressed
-// into its factor pair first and only the pair crosses into the engine;
-// batches the sketch cannot compress fall through to the raw path.
-// Called with s.mu held.
-func (s *SVD) pushLocked(b *Matrix) error {
-	if err := checkBatch(b, nil, s.rows); err != nil {
+// pushLocked forwards a raw batch x (sk nil) or a sketch factor pair
+// (Q = x, S = sk) to the engine and maintains the ingest counters behind
+// Stats. With WithSketchedPush a raw batch is compressed into its factor
+// pair first and only the pair crosses into the engine; batches the
+// sketch cannot compress stay raw. Called with s.mu held.
+func (s *SVD) pushLocked(x, sk *Matrix) error {
+	if err := checkBatch(x, sk, s.rows); err != nil {
 		return err
 	}
-	if s.cfg.sketchOn {
-		q, sk, err := sketchBatch(b, s.cfg.sketch, s.cfg.rlaOpts)
+	if sk == nil && s.cfg.sketchOn {
+		q, qs, err := sketchBatch(x, s.cfg.sketch, s.cfg.rlaOpts)
 		if err != nil {
 			return err
 		}
 		if q != nil {
-			return s.pushSketchLocked(q, sk)
+			// The sketch of an extreme batch can overflow: its pair is
+			// checked like any other.
+			if err := checkBatch(q, qs, s.rows); err != nil {
+				return err
+			}
+			x, sk = q, qs
 		}
 	}
-	if err := s.eng.push(b, nil); err != nil {
+	if err := s.eng.push(x, sk); err != nil {
 		return err
 	}
-	raw := 8 * int64(b.Rows()*b.Cols())
-	s.pushedBytes += raw
-	s.wireBytes += raw
-	if s.rows == 0 {
-		s.rows = b.Rows()
+	// A raw batch crosses once. Of a pair, in-process engines receive one
+	// copy; the distributed scatter ships each rank its row block of Q
+	// and a replica of S.
+	rows, cols := x.Rows(), x.Cols()
+	wire := 8 * int64(rows*cols)
+	if sk != nil {
+		l := cols
+		cols = sk.Cols()
+		replicas := 1
+		if s.cfg.backend == Distributed {
+			replicas = s.cfg.ranks
+		}
+		wire = 8 * int64(rows*l+l*cols*replicas)
+		s.sketchedPushes++
 	}
-	s.snapshots += b.Cols()
+	s.wireBytes += wire
+	s.pushedBytes += 8 * int64(rows*cols)
+	if s.rows == 0 {
+		s.rows = rows
+	}
+	s.snapshots += cols
 	s.updates++
 	return nil
 }

@@ -92,7 +92,9 @@ type ModelInfo struct {
 	Version uint64    `json:"version"`
 	// QueueDepth is the number of pushes waiting in the ingest queue.
 	QueueDepth int `json:"queue_depth"`
-	// IngestErr is the last view-publish fault, "" when healthy.
+	// IngestErr is the last server-side ingest fault (a failed engine,
+	// WAL append or view publish), "" when healthy. A refused update
+	// (a 4xx) leaves the model healthy and is not recorded here.
 	IngestErr string `json:"ingest_error,omitempty"`
 }
 
@@ -223,27 +225,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, err error) {
 	status := httpStatus(err)
 	if status == http.StatusTooManyRequests && w.Header().Get("Retry-After") == "" {
-		// The ingest handlers set a backlog-derived Retry-After before
-		// calling here (enqueueOrReject); this fixed hint only covers 429s
-		// raised with no model in hand.
+		// ingest sets a backlog-derived Retry-After before calling
+		// here; this fixed hint only covers 429s raised with no model
+		// in hand.
 		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, errorResponse{Error: errorMessage(err)})
 }
 
-// enqueueOrReject hands req to the model's ingest queue; a full queue
-// writes the 429 with a Retry-After derived from the live backlog (queue
-// occupancy over the coalesce width — how many micro-batches must drain
-// before room is guaranteed) instead of a fixed one-second guess.
-func enqueueOrReject(w http.ResponseWriter, m *model, req *pushReq) bool {
+// ingest queues u on the model and waits for the ingest loop's verdict,
+// returning the View the update published. On failure it writes the
+// error response itself: a full queue is a 429 whose Retry-After is
+// derived from the live backlog (queue occupancy over the coalesce width
+// — how many micro-batches must drain before room is guaranteed), and a
+// client that goes away while waiting gets a clean 499 (never a backend
+// abort string); its update may still be applied.
+func ingest(w http.ResponseWriter, r *http.Request, m *model, u update) (*View, bool) {
+	req := &pushReq{update: u, errc: make(chan error, 1)}
 	if err := m.enqueue(req); err != nil {
 		if errors.Is(err, ErrBacklogFull) {
 			w.Header().Set("Retry-After", strconv.Itoa(m.retryAfterSeconds()))
 		}
 		writeError(w, err)
-		return false
+		return nil, false
 	}
-	return true
+	select {
+	case err := <-req.errc:
+		if err != nil {
+			writeError(w, err)
+			return nil, false
+		}
+		return req.view, true
+	case <-r.Context().Done():
+		writeError(w, r.Context().Err())
+		return nil, false
+	}
 }
 
 // decodeJSON reads one JSON value, mapping an oversized body to 413.
@@ -332,8 +348,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // handlePush enqueues one snapshot batch and waits for the ingest loop to
 // apply it (possibly coalesced with its queue neighbors into one stacked
-// engine update). A client that goes away while waiting gets a clean 499
-// — never a backend abort string — and its batch may still be applied.
+// engine update).
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.lookup(w, r)
 	if !ok {
@@ -348,30 +363,8 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	req := &pushReq{batch: batch, errc: make(chan error, 1)}
-	if !enqueueOrReject(w, m, req) {
-		return
-	}
-	s.awaitPushAck(w, r, m, req)
-}
-
-// awaitPushAck waits for the ingest loop's verdict on a queued push (raw
-// or sketched) and writes the ack or error. A client that goes away
-// while waiting gets the context error; its request may still apply.
-func (s *Server) awaitPushAck(w http.ResponseWriter, r *http.Request, m *model, req *pushReq) {
-	select {
-	case err := <-req.errc:
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		ack := PushAck{}
-		if v := m.currentView(); v != nil {
-			ack = PushAck{Snapshots: v.Stats.Snapshots, Version: v.Version}
-		}
-		writeJSON(w, http.StatusOK, ack)
-	case <-r.Context().Done():
-		writeError(w, r.Context().Err())
+	if v, ok := ingest(w, r, m, update{x: batch}); ok {
+		writeJSON(w, http.StatusOK, PushAck{Snapshots: v.Stats.Snapshots, Version: v.Version})
 	}
 }
 
@@ -399,11 +392,9 @@ func (s *Server) handlePushSketch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	req := &pushReq{sketchQ: q, sketchS: sk, errc: make(chan error, 1)}
-	if !enqueueOrReject(w, m, req) {
-		return
+	if v, ok := ingest(w, r, m, update{x: q, s: sk}); ok {
+		writeJSON(w, http.StatusOK, PushAck{Snapshots: v.Stats.Snapshots, Version: v.Version})
 	}
-	s.awaitPushAck(w, r, m, req)
 }
 
 // handleMerge absorbs another decomposition into the target model: a
@@ -461,7 +452,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := parsvd.WriteCheckpoint(&buf, src.svd.Configuration(), v.Result); err != nil {
+		if err := parsvd.WriteCheckpoint(&buf, v.Configuration, v.Result); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -473,23 +464,8 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	mreq := &pushReq{mergeCkpt: ckpt, errc: make(chan error, 1)}
-	if !enqueueOrReject(w, m, mreq) {
-		return
-	}
-	select {
-	case err := <-mreq.errc:
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		ack := MergeAck{MergeBound: m.svd.MergeBound()}
-		if v := m.currentView(); v != nil {
-			ack.Snapshots, ack.Version = v.Stats.Snapshots, v.Version
-		}
-		writeJSON(w, http.StatusOK, ack)
-	case <-r.Context().Done():
-		writeError(w, r.Context().Err())
+	if v, ok := ingest(w, r, m, update{ckpt: ckpt}); ok {
+		writeJSON(w, http.StatusOK, MergeAck{Snapshots: v.Stats.Snapshots, Version: v.Version, MergeBound: v.MergeBound})
 	}
 }
 
@@ -516,7 +492,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var buf bytes.Buffer
-	if err := parsvd.WriteCheckpoint(&buf, m.svd.Configuration(), v.Result); err != nil {
+	if err := parsvd.WriteCheckpoint(&buf, v.Configuration, v.Result); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -51,7 +51,7 @@ func TestMicroBatchCoalescingBitIdentical(t *testing.T) {
 	m := newModel(ModelSpec{Name: "coalesce"}, svd, cfg)
 	reqs := make([]*pushReq, n)
 	for j := 0; j < n; j++ {
-		reqs[j] = &pushReq{batch: full.SliceCols(j, j+1), errc: make(chan error, 1)}
+		reqs[j] = &pushReq{update: update{x: full.SliceCols(j, j+1)}, errc: make(chan error, 1)}
 		if err := m.enqueue(reqs[j]); err != nil {
 			t.Fatalf("enqueue %d: %v", j, err)
 		}
@@ -120,7 +120,7 @@ func TestCoalesceRespectsMaxCoalesce(t *testing.T) {
 	m := newModel(ModelSpec{Name: "split"}, svd, cfg)
 	reqs := make([]*pushReq, n)
 	for j := 0; j < n; j++ {
-		reqs[j] = &pushReq{batch: detMatrix(rows, 1, float64(j)), errc: make(chan error, 1)}
+		reqs[j] = &pushReq{update: update{x: detMatrix(rows, 1, float64(j))}, errc: make(chan error, 1)}
 		if err := m.enqueue(reqs[j]); err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestRetryAfterDerivedFromQueueOccupancy(t *testing.T) {
 	// MaxCoalesce=2 drain in ~3 coalesced updates.
 	var reqs []*pushReq
 	for j := 0; j < 6; j++ {
-		req := &pushReq{batch: detMatrix(8, 1, float64(j)), errc: make(chan error, 1)}
+		req := &pushReq{update: update{x: detMatrix(8, 1, float64(j))}, errc: make(chan error, 1)}
 		if err := m.enqueue(req); err != nil {
 			t.Fatalf("enqueue %d: %v", j, err)
 		}
@@ -312,7 +312,7 @@ func TestShutdownFlushesQueue(t *testing.T) {
 	}
 	var reqs []*pushReq
 	for j := 0; j < 5; j++ {
-		req := &pushReq{batch: detMatrix(8, 1, float64(j)), errc: make(chan error, 1)}
+		req := &pushReq{update: update{x: detMatrix(8, 1, float64(j))}, errc: make(chan error, 1)}
 		if err := m.enqueue(req); err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE parsvd_model_wire_bytes counter\n")
 	fmt.Fprintf(w, "# HELP parsvd_model_sketched_pushes Updates that arrived as compressed sketch factor pairs.\n")
 	fmt.Fprintf(w, "# TYPE parsvd_model_sketched_pushes counter\n")
-	fmt.Fprintf(w, "# HELP parsvd_model_wal_appends Micro-batch records appended to the write-ahead log.\n")
+	fmt.Fprintf(w, "# HELP parsvd_model_wal_appends Update records (batches, sketches, merges) appended to the write-ahead log.\n")
 	fmt.Fprintf(w, "# TYPE parsvd_model_wal_appends counter\n")
 	fmt.Fprintf(w, "# HELP parsvd_model_wal_fsyncs Fsync calls issued by the write-ahead log.\n")
 	fmt.Fprintf(w, "# TYPE parsvd_model_wal_fsyncs counter\n")

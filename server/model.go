@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,8 +18,9 @@ import (
 // copy-on-publish View for readers.
 //
 // Concurrency contract: handlers only ever enqueue (bounded, non-blocking)
-// and load the current View; every SVD method that mutates or gathers —
-// Push, Result, Save, Close — is called from the ingest goroutine alone.
+// and load the current View; every SVD method — Push, Merge, Result,
+// Save, Close, down to the Configuration and MergeBound getters — is
+// called from the ingest goroutine alone (or before it starts).
 // Readers therefore never contend with the writer and never observe the
 // engine's recycled mode storage mid-update.
 type model struct {
@@ -62,18 +62,52 @@ type model struct {
 	replayedOnBoot  uint64
 }
 
-// pushReq is one queued ingest operation: a snapshot batch, a compressed
-// (Q, S) sketch factor pair — when sketchQ is set — or, when mergeCkpt is
-// set, a checkpoint to absorb through SVD.Merge. Sketched pushes and
-// merges ride the same single-writer queue as pushes, so the WAL ordering
-// and durability barrier apply to them unchanged. errc is buffered so the
+// update is one ingest operation: the unit the queue carries, the
+// engine applies and the write-ahead log records. It is exactly one of
+//
+//   - a snapshot batch: x (s and ckpt nil);
+//   - a sketched push: the compressed factor pair Q = x, S = s, whose
+//     product stands in for the batch it was sketched from;
+//   - a merge: ckpt, a checkpoint to absorb through SVD.Merge.
+//
+// All three ride the same single-writer queue, so the WAL ordering and
+// durability barrier apply to each alike.
+type update struct {
+	x, s *parsvd.Matrix
+	ckpt []byte
+}
+
+// stackable reports whether u is a raw batch: the only kind the ingest
+// loop stacks with its queue neighbours. A sketch or a merge is one
+// engine operation with its own WAL record, applied exactly at its queue
+// position. (Stacking sketches with raw batches would force multiplying
+// them out on the ingest loop and log the expanded rows, forfeiting the
+// compression the sender paid for.)
+func (u update) stackable() bool { return u.s == nil && u.ckpt == nil }
+
+// applyTo runs u through the engine. Ingest and boot replay both apply
+// updates here, so a replayed record takes the same path as the original.
+// Every path validates fully before touching the engine: a refused
+// update leaves the model as it was.
+func (u update) applyTo(svd *parsvd.SVD) error {
+	switch {
+	case u.ckpt != nil:
+		return svd.Merge(bytes.NewReader(u.ckpt))
+	case u.s != nil:
+		return svd.PushSketch(u.x, u.s)
+	}
+	return svd.Push(u.x)
+}
+
+// pushReq is one queued update and its reply. errc is buffered so the
 // ingest loop can always deliver the outcome, even when the submitting
 // handler has already given up (context canceled → 499) and gone away.
+// view is the View the update published; the ingest loop sets it before
+// the nil error on errc, so a handler reads it after the receive.
 type pushReq struct {
-	batch            *parsvd.Matrix
-	sketchQ, sketchS *parsvd.Matrix
-	mergeCkpt        []byte
-	errc             chan error
+	update
+	errc chan error
+	view *View
 }
 
 // newModel wires a model around an SVD but does not start its ingest
@@ -90,9 +124,9 @@ func newModel(spec ModelSpec, svd *parsvd.SVD, cfg Config) *model {
 		done:  make(chan struct{}),
 	}
 	m.base = svd.Stats()
-	if st := m.base; st.Snapshots > 0 {
-		if res, err := svd.Result(); err == nil {
-			m.view.Store(&View{Version: uint64(st.Updates), Result: res, Stats: st})
+	if m.base.Snapshots > 0 {
+		if v, err := snapshotView(svd); err == nil {
+			m.view.Store(v)
 		}
 	}
 	return m
@@ -183,12 +217,7 @@ func (m *model) ingestLoop() {
 // MaxCoalesce to 1 (Config docs, `parsvd-serve -coalesce 1`).
 func (m *model) coalesce(first *pushReq) []*pushReq {
 	reqs := []*pushReq{first}
-	// A merge or sketched push never coalesces with anything: each is one
-	// engine operation with its own WAL record, applied exactly at its
-	// queue position. (Stacking sketches with raw batches would force
-	// multiplying them out on the ingest loop and log the expanded rows,
-	// forfeiting the compression the sender paid for.)
-	if first.mergeCkpt != nil || first.sketchQ != nil {
+	if !first.stackable() {
 		return reqs
 	}
 	for len(reqs) < m.cfg.MaxCoalesce {
@@ -196,9 +225,9 @@ func (m *model) coalesce(first *pushReq) []*pushReq {
 		case r := <-m.queue:
 			m.pending.Add(-1)
 			reqs = append(reqs, r)
-			if r.mergeCkpt != nil || r.sketchQ != nil {
-				// The merge or sketch ends the micro-batch; apply handles
-				// it as its own run after the batches queued ahead of it.
+			if !r.stackable() {
+				// A sketch or merge ends the micro-batch; apply handles
+				// it as its own update after the batches queued ahead.
 				return reqs
 			}
 		default:
@@ -208,132 +237,76 @@ func (m *model) coalesce(first *pushReq) []*pushReq {
 	return reqs
 }
 
-// apply stacks queued batches into engine updates and fans the outcome
-// back to each submitter. Consecutive requests with equal row counts form
-// one run and are HStacked into a single Push — arrival order is
-// preserved, which is what makes N coalesced single-snapshot pushes
-// bit-identical to one stacked push. A run with a mismatched row count
-// (only possible before the first batch pins M, or from a caller bug)
-// simply starts its own run and lets Push report the dimension error.
+// apply turns queued requests into updates, applies each and fans the
+// outcome back to its submitters. Consecutive raw batches with equal row
+// counts form one run and are HStacked into a single update — arrival
+// order is preserved, which is what makes N coalesced single-snapshot
+// pushes bit-identical to one stacked push. A run with a mismatched row
+// count (only possible before the first batch pins M, or from a caller
+// bug) simply starts its own run and lets Push report the dimension
+// error. Sketches and merges are updates of their own.
+//
+// Each update is applied, then logged, then published. The durability
+// barrier: the applied update is in the WAL (and, under FsyncAlways,
+// fsynced) before any submitter sees its ack. A stacked run is recorded
+// exactly as the engine consumed it, so replay reproduces the same
+// micro-batch boundaries — and with them the same forget-factor
+// weighting — bit for bit; a crash recovers to exactly the state before
+// an update (record not yet durable) or after it, never in between.
+//
+// Only server-side faults (the ones httpStatus maps to 5xx: a failed
+// engine, a failed WAL append) are recorded in the model health. A
+// refused update — a wrong-row or non-finite batch, an incompatible
+// checkpoint — leaves the model untouched and healthy.
 func (m *model) apply(reqs []*pushReq) {
 	for start := 0; start < len(reqs); {
-		if reqs[start].mergeCkpt != nil {
-			m.applyMerge(reqs[start])
-			start++
-			continue
-		}
-		if reqs[start].sketchQ != nil {
-			m.applySketch(reqs[start])
-			start++
-			continue
-		}
-		end := start + 1
-		rows := reqs[start].batch.Rows()
-		for end < len(reqs) && reqs[end].mergeCkpt == nil && reqs[end].sketchQ == nil && reqs[end].batch.Rows() == rows {
-			end++
-		}
-		run := reqs[start:end]
-		stacked := run[0].batch
-		if len(run) > 1 {
-			batches := make([]*parsvd.Matrix, len(run))
-			for i, r := range run {
-				batches[i] = r.batch
+		u, end := reqs[start].update, start+1
+		if u.stackable() {
+			for end < len(reqs) && reqs[end].stackable() && reqs[end].x.Rows() == u.x.Rows() {
+				end++
 			}
-			stacked = parsvd.HStack(batches...)
+			if end-start > 1 {
+				batches := make([]*parsvd.Matrix, 0, end-start)
+				for _, r := range reqs[start:end] {
+					batches = append(batches, r.x)
+				}
+				u.x = parsvd.HStack(batches...)
+			}
 		}
-		err := m.svd.Push(stacked)
+		var v *View
+		err := u.applyTo(m.svd)
 		if err == nil {
-			// Durability barrier: the applied micro-batch is logged (and,
-			// under FsyncAlways, fsynced) before any pusher sees its 200.
-			// The stacked batch is recorded exactly as the engine consumed
-			// it, so replay reproduces the same micro-batch boundaries —
-			// and with them the same forget-factor weighting — bit for bit.
-			err = m.logDurable(encodeBatchPayload(stacked))
+			err = m.logDurable(u.encodeRecord())
 		}
 		if err == nil {
 			// A publish failure (poisoned parallel world during the
-			// gather) counts against the pushers too: their data is in an
-			// engine that can no longer serve it.
-			err = m.publish()
-		} else {
-			// Record the fault so /stats and listings show a dead or
-			// misfed model, not just a stream of failed pushes.
+			// gather) counts against the submitters too: their data is
+			// in an engine that can no longer serve it.
+			v, err = m.publish()
+		} else if httpStatus(err) >= 500 {
 			msg := err.Error()
 			m.ingestErr.Store(&msg)
 		}
-		for _, r := range run {
+		for _, r := range reqs[start:end] {
+			r.view = v
 			r.errc <- err
 		}
 		start = end
 	}
 }
 
-// applyMerge absorbs a checkpoint into the model through SVD.Merge,
-// with the same durability barrier as a push: the merge record (the
-// absorbed checkpoint, verbatim) is in the WAL before the caller sees
-// its ack, so a crash at any point recovers to exactly the pre-merge
-// state (record not yet durable: replay stops before it) or the
-// post-merge state (record durable: replay re-applies it) — never a
-// partial merge. Merge itself validates the checkpoint fully before
-// touching the engine, so a corrupt upload is a clean refusal that
-// leaves the model serving.
-func (m *model) applyMerge(req *pushReq) {
-	err := m.svd.Merge(bytes.NewReader(req.mergeCkpt))
-	if err == nil {
-		err = m.logDurable(encodeMergePayload(req.mergeCkpt))
-	}
-	if err == nil {
-		err = m.publish()
-	} else if !isValidationError(err) {
-		// Only record engine/durability faults in the model health: a
-		// refused (incompatible or corrupt) checkpoint leaves the model
-		// fully healthy.
-		msg := err.Error()
-		m.ingestErr.Store(&msg)
-	}
-	req.errc <- err
-}
-
-// applySketch ingests one compressed (Q, S) factor pair through
-// SVD.PushSketch, under the same durability barrier as a push: the WAL
-// record carries the pair in its compressed form (applying it is
-// deterministic, so replay is bit-exact) and is durable before the
-// sender sees its ack.
-func (m *model) applySketch(req *pushReq) {
-	err := m.svd.PushSketch(req.sketchQ, req.sketchS)
-	if err == nil {
-		err = m.logDurable(encodeSketchPayload(req.sketchQ, req.sketchS))
-	}
-	if err == nil {
-		err = m.publish()
-	} else {
-		msg := err.Error()
-		m.ingestErr.Store(&msg)
-	}
-	req.errc <- err
-}
-
-// isValidationError recognizes merge refusals that leave the model
-// untouched, as opposed to faults of the model itself.
-func isValidationError(err error) bool {
-	return errors.Is(err, parsvd.ErrBadCheckpoint) ||
-		errors.Is(err, parsvd.ErrMergeIncompatible) ||
-		errors.Is(err, parsvd.ErrShardOverlap)
-}
-
-// logDurable appends an applied ingest record (a framed micro-batch or
-// merge payload) to the write-ahead log, keyed by the engine's
-// post-apply Updates counter — the same counter a checkpoint carries,
-// which is what lets replay-on-boot skip records a checkpoint already
-// covers. Under FsyncAlways the record is on stable storage when this
-// returns; under lazier policies the append is buffered and the ack's
-// meaning weakens accordingly (Config docs).
+// logDurable appends an applied update's record to the write-ahead log,
+// keyed by the engine's post-apply Updates counter — the same counter a
+// checkpoint carries, which is what lets replay-on-boot skip records a
+// checkpoint already covers. Under FsyncAlways the record is on stable
+// storage when this returns; under lazier policies the append is
+// buffered and the ack's meaning weakens accordingly (Config docs).
 //
-// A failed append leaves the engine ahead of the log, so the pushers of
-// this micro-batch get ErrNotDurable instead of an ack, and — because
-// the log refuses non-contiguous sequence numbers — every later push
-// fails the same way rather than silently widening the divergence: the
-// model is effectively read-only until the operator fixes the disk.
+// A failed append leaves the engine ahead of the log, so the submitters
+// of this update get ErrNotDurable instead of an ack, and — because the
+// log refuses non-contiguous sequence numbers — every later push fails
+// the same way rather than silently widening the divergence: the model
+// is effectively read-only until the operator fixes the disk.
 func (m *model) logDurable(payload []byte) error {
 	wlog := m.wlog.Load()
 	if wlog == nil {
@@ -350,20 +323,37 @@ func (m *model) logDurable(payload []byte) error {
 // (copy-on-publish). Readers holding the previous View keep it; new
 // readers see this one. A failed gather (poisoned parallel world) keeps
 // the last good View, records the fault for /stats and reports it.
-func (m *model) publish() error {
-	res, err := m.svd.Result()
+func (m *model) publish() (*View, error) {
+	v, err := snapshotView(m.svd)
 	if err != nil {
 		msg := err.Error()
 		m.ingestErr.Store(&msg)
 		m.cfg.Logf("parsvd-serve: model %s: publishing view: %v", m.name, err)
-		return err
+		return nil, err
 	}
-	st := m.svd.Stats()
-	m.view.Store(&View{Version: uint64(st.Updates), Result: res, Stats: st})
+	m.view.Store(v)
 	m.dirty = true
 	m.dirtySince.CompareAndSwap(0, time.Now().UnixNano())
 	m.ingestErr.Store(nil) // healthy again: the last fault is history
-	return nil
+	return v, nil
+}
+
+// snapshotView copies out everything a reader may ask of the SVD — the
+// decomposition, the stats, the configuration and the merge bound — so
+// no handler ever calls into the live engine.
+func snapshotView(svd *parsvd.SVD) (*View, error) {
+	res, err := svd.Result()
+	if err != nil {
+		return nil, err
+	}
+	st := svd.Stats()
+	return &View{
+		Version:       uint64(st.Updates),
+		Result:        res,
+		Stats:         st,
+		Configuration: svd.Configuration(),
+		MergeBound:    svd.MergeBound(),
+	}, nil
 }
 
 // statsSnapshot serves Stats without touching the SVD: the last published
@@ -498,7 +488,8 @@ func (m *model) flushOnQuit() bool {
 	return m.flush
 }
 
-// lastIngestError returns the most recent view-publish fault, "" if none.
+// lastIngestError returns the most recent server-side ingest fault (a
+// failed engine, WAL append or view publish), "" if none.
 func (m *model) lastIngestError() string {
 	if p := m.ingestErr.Load(); p != nil {
 		return *p

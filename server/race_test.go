@@ -43,7 +43,7 @@ func TestRacePushersAndReaders(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perPusher; i++ {
-				req := &pushReq{batch: detMatrix(rows, 1, float64(p*1000+i)), errc: make(chan error, 1)}
+				req := &pushReq{update: update{x: detMatrix(rows, 1, float64(p*1000+i))}, errc: make(chan error, 1)}
 				for m.enqueue(req) != nil {
 					runtime.Gosched()
 				}

@@ -18,7 +18,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -51,7 +50,7 @@ type Config struct {
 	MaxCoalesce int
 	// CheckpointDir, when set, enables persistence: every model
 	// periodically saves to <dir>/<name>.ckpt, its creation spec is
-	// written durably to <dir>/<name>.spec.json, applied micro-batches
+	// written durably to <dir>/<name>.spec.json, applied updates
 	// are logged to <dir>/<name>.wal/ before they are acked, and every
 	// model found at construction (checkpoint, spec or WAL) is restored
 	// as a live model — replaying the WAL on top of the newest
@@ -347,26 +346,14 @@ func (s *Server) restoreModel(name string) error {
 				return fmt.Errorf("wal resumes at seq %d but the checkpoint covers through %d (gap)", seq, expected)
 			}
 			expected = seq
-			// A merge record replays through Merge (re-absorbing the
-			// logged checkpoint), a sketch record through PushSketch (the
-			// compressed pair applies deterministically, so replay is
-			// bit-exact), a batch record through Push — the same
-			// operations, in the same order, as the original ingest.
-			if isMergePayload(payload) {
-				return svd.Merge(bytes.NewReader(mergeCheckpoint(payload)))
-			}
-			if isSketchPayload(payload) {
-				q, sk, err := decodeSketchPayload(payload)
-				if err != nil {
-					return err
-				}
-				return svd.PushSketch(q, sk)
-			}
-			batch, err := decodeBatchPayload(payload)
+			// Each record replays through the same applyTo the ingest
+			// loop used: the same operations, in the same order, so the
+			// rebuilt state matches the acked one bit for bit.
+			u, err := decodeRecord(payload)
 			if err != nil {
 				return err
 			}
-			return svd.Push(batch)
+			return u.applyTo(svd)
 		})
 		if replayErr != nil {
 			wlog.Close()

@@ -224,10 +224,16 @@ func TestPushAndQuery(t *testing.T) {
 			wantStatus(t, err, http.StatusBadRequest)
 			_, err = c.Reconstruct(ctx, tc.spec.Name, testMatrix(5, 1))
 			wantStatus(t, err, http.StatusBadRequest)
+			// A refused push leaves the model untouched, and healthy.
+			_, err = c.Push(ctx, tc.spec.Name, testMatrix(rows+1, 1))
+			wantStatus(t, err, http.StatusBadRequest)
 
 			stats, err := c.Model(ctx, tc.spec.Name)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if stats.IngestErr != "" {
+				t.Fatalf("refused push recorded an ingest fault: %q", stats.IngestErr)
 			}
 			if stats.Stats.Snapshots != cols || stats.Stats.Rows != rows || stats.Stats.Updates != int64(cols/batch) {
 				t.Fatalf("served stats %+v, want %d snapshots / %d rows / %d updates", stats.Stats, cols, rows, cols/batch)

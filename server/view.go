@@ -5,7 +5,7 @@ import (
 )
 
 // View is one published snapshot of a model's decomposition, produced by
-// the ingest loop after every applied micro-batch (copy-on-publish).
+// the ingest loop after every applied update (copy-on-publish).
 // Result and Stats are deep copies that share no storage with the engine,
 // so a View handed to a reader stays valid and bit-stable forever — no
 // matter how many updates the writer applies after it. Readers must treat
@@ -20,4 +20,10 @@ type View struct {
 	Result *parsvd.Result
 	// Stats is the introspection snapshot taken at publish time.
 	Stats parsvd.Stats
+	// Configuration is the SVD's effective configuration as of Version
+	// (a merge can change the backend): the options a checkpoint built
+	// from Result carries.
+	Configuration parsvd.Configuration
+	// MergeBound is the accumulated merge truncation bound as of Version.
+	MergeBound float64
 }

@@ -1,15 +1,14 @@
 package server
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
-	parsvd "goparsvd"
-	"goparsvd/internal/mpi"
-	"goparsvd/internal/mpi/tcptransport"
+	"goparsvd/internal/launch"
 	"goparsvd/internal/wal"
 )
 
@@ -51,7 +50,7 @@ func (p FsyncPolicy) syncPolicy() (wal.SyncPolicy, error) {
 //
 //	<name>.ckpt       periodic checkpoint (atomic write-then-rename)
 //	<name>.spec.json  the creation spec, written durably at create time
-//	<name>.wal/       segmented write-ahead log of applied micro-batches
+//	<name>.wal/       segmented write-ahead log of applied updates
 //
 // The spec file is what makes model creation itself durable: a model that
 // crashes before its first checkpoint is rebuilt from the spec and
@@ -74,106 +73,56 @@ func openModelWAL(cfg Config, name string) (*wal.Log, error) {
 	})
 }
 
-// encodeBatchPayload frames one applied micro-batch as a WAL record
-// payload, reusing the tcptransport float64 body codec so the matrix
-// round-trips bit-for-bit (IEEE-754 bit patterns, little-endian) —
-// replaying the log reproduces the exact update stream.
-func encodeBatchPayload(b *parsvd.Matrix) []byte {
-	msg := mpi.Message{Rows: b.Rows(), Cols: b.Cols(), Data: b.RawData()}
-	return tcptransport.AppendMessageBody(make([]byte, 0, 32+8*len(msg.Data)), msg)
-}
+// A WAL record is one applied update, in one of three kinds:
+//
+//	batch   the snapshot batch's block body (launch.EncodeBlock)
+//	sketch  "GPSVSKCH", then the factor-pair body (launch.AppendFactorPair),
+//	        logged exactly as it arrived — never the product Q·S — so the
+//	        log stays as small as the wire traffic
+//	merge   "GPSVMERG", then the absorbed checkpoint, verbatim
+//
+// The bodies are the session protocol's own payloads, so the server and
+// the worker fleet share one bit-exact codec (IEEE-754 bit patterns,
+// little-endian): replay reproduces the exact update stream. The magics
+// cannot collide with a batch record, whose first 8 bytes are the block
+// tag — always zero, and launch.DecodeBlock refuses any other — while
+// each magic is 8 non-zero ASCII bytes. Every record decodeRecord
+// accepts re-encodes to the same bytes.
+var (
+	sketchMagic = []byte("GPSVSKCH")
+	mergeMagic  = []byte("GPSVMERG")
+)
 
-// mergeMagic prefixes a WAL record that carries a merge instead of a
-// snapshot micro-batch: the payload is the magic followed by the
-// absorbed checkpoint bytes, verbatim. The prefix cannot collide with a
-// batch record: a batch payload is a tcptransport message body, whose
-// first 8 bytes are the little-endian Tag — always zero for ingest
-// batches — while the magic is 8 non-zero ASCII bytes.
-var mergeMagic = []byte("GPSVMERG")
-
-// encodeMergePayload frames an applied merge for the WAL: replaying it
-// re-applies the exact same checkpoint through parsvd.SVD.Merge.
-func encodeMergePayload(ckpt []byte) []byte {
-	return append(append(make([]byte, 0, len(mergeMagic)+len(ckpt)), mergeMagic...), ckpt...)
-}
-
-// isMergePayload distinguishes merge records from batch records.
-func isMergePayload(payload []byte) bool {
-	return len(payload) >= len(mergeMagic) && string(payload[:len(mergeMagic)]) == string(mergeMagic)
-}
-
-// mergeCheckpoint strips the magic, returning the absorbed checkpoint.
-func mergeCheckpoint(payload []byte) []byte { return payload[len(mergeMagic):] }
-
-// sketchMagic prefixes a WAL record that carries a sketched push: the
-// compressed (Q, S) factor pair is logged exactly as it arrived — never
-// the product Q·S — so the log stays as small as the wire traffic and
-// replay reproduces the identical deterministic update. Like
-// mergeMagic, the 8 non-zero ASCII bytes cannot collide with a batch
-// record (whose first 8 bytes are the always-zero little-endian Tag).
-var sketchMagic = []byte("GPSVSKCH")
-
-// encodeSketchPayload frames an applied sketched push for the WAL:
-// magic, a u32le length of the Q body, then the Q and S matrices in the
-// same bit-exact tcptransport float64 framing batch records use.
-func encodeSketchPayload(q, s *parsvd.Matrix) []byte {
-	qm := mpi.Message{Rows: q.Rows(), Cols: q.Cols(), Data: q.RawData()}
-	sm := mpi.Message{Rows: s.Rows(), Cols: s.Cols(), Data: s.RawData()}
-	qBody := tcptransport.AppendMessageBody(make([]byte, 0, 32+8*len(qm.Data)), qm)
-	payload := make([]byte, 0, len(sketchMagic)+4+len(qBody)+32+8*len(sm.Data))
-	payload = append(payload, sketchMagic...)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(qBody)))
-	payload = append(payload, qBody...)
-	return tcptransport.AppendMessageBody(payload, sm)
-}
-
-// isSketchPayload distinguishes sketched-push records from the others.
-func isSketchPayload(payload []byte) bool {
-	return len(payload) >= len(sketchMagic) && string(payload[:len(sketchMagic)]) == string(sketchMagic)
-}
-
-// decodeSketchPayload is the replay-side inverse of encodeSketchPayload.
-func decodeSketchPayload(payload []byte) (q, s *parsvd.Matrix, err error) {
-	body := payload[len(sketchMagic):]
-	if len(body) < 4 {
-		return nil, nil, fmt.Errorf("server: wal sketch record truncated (%d bytes)", len(payload))
+// encodeRecord frames an applied update as a WAL record payload. A
+// tagged record starts from the clipped magic, so its one allocation
+// holds the whole record and never writes into the shared magic array.
+func (u update) encodeRecord() []byte {
+	switch {
+	case u.ckpt != nil:
+		return append(slices.Clip(mergeMagic), u.ckpt...)
+	case u.s != nil:
+		return launch.AppendFactorPair(slices.Clip(sketchMagic), u.x, u.s)
 	}
-	qlen := int(binary.LittleEndian.Uint32(body))
-	body = body[4:]
-	if qlen < 0 || qlen > len(body) {
-		return nil, nil, fmt.Errorf("server: wal sketch record claims %d-byte Q in a %d-byte body", qlen, len(body))
-	}
-	decode := func(part []byte, what string) (*parsvd.Matrix, error) {
-		msg, err := tcptransport.DecodeMessageBody(part)
-		if err != nil {
-			return nil, fmt.Errorf("server: wal sketch record %s: %w", what, err)
-		}
-		m, err := parsvd.NewMatrixFromData(msg.Rows, msg.Cols, msg.Data)
-		if err != nil {
-			return nil, fmt.Errorf("server: wal sketch record carries a malformed %dx%d %s factor: %w", msg.Rows, msg.Cols, what, err)
-		}
-		return m, nil
-	}
-	if q, err = decode(body[:qlen], "Q"); err != nil {
-		return nil, nil, err
-	}
-	if s, err = decode(body[qlen:], "S"); err != nil {
-		return nil, nil, err
-	}
-	return q, s, nil
+	return launch.EncodeBlock(u.x)
 }
 
-// decodeBatchPayload is the replay-side inverse.
-func decodeBatchPayload(payload []byte) (*parsvd.Matrix, error) {
-	msg, err := tcptransport.DecodeMessageBody(payload)
+// decodeRecord is the replay-side inverse of encodeRecord. A merge
+// record's checkpoint aliases payload.
+func decodeRecord(payload []byte) (update, error) {
+	var u update
+	var err error
+	switch {
+	case bytes.HasPrefix(payload, mergeMagic):
+		u.ckpt = payload[len(mergeMagic):]
+	case bytes.HasPrefix(payload, sketchMagic):
+		u.x, u.s, err = launch.DecodeFactorPair(payload[len(sketchMagic):])
+	default:
+		u.x, err = launch.DecodeBlock(payload)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("server: wal record: %w", err)
+		return update{}, fmt.Errorf("server: wal record: %w", err)
 	}
-	m, err := parsvd.NewMatrixFromData(msg.Rows, msg.Cols, msg.Data)
-	if err != nil {
-		return nil, fmt.Errorf("server: wal record carries a malformed %dx%d batch: %w", msg.Rows, msg.Cols, err)
-	}
-	return m, nil
+	return u, nil
 }
 
 // writeSpecFile persists the creation spec durably (write, fsync, atomic

@@ -93,35 +93,8 @@ func (s *SVD) PushSketch(q, sk *Matrix) error {
 	if s.closed {
 		return errors.New("parsvd: PushSketch on closed SVD")
 	}
-	return s.pushSketchLocked(q, sk)
-}
-
-// pushSketchLocked forwards a validated factor pair to the engine and
-// maintains the ingest and wire counters. Called with s.mu held.
-func (s *SVD) pushSketchLocked(q, sk *Matrix) error {
 	if sk == nil {
 		return errors.New("parsvd: empty sketch factor pair")
 	}
-	if err := checkBatch(q, sk, s.rows); err != nil {
-		return err
-	}
-	if err := s.eng.push(q, sk); err != nil {
-		return err
-	}
-	// In-process engines receive one copy of the pair; the distributed
-	// scatter ships each rank its row block of Q and a replica of S.
-	m, l, bcols := q.Rows(), q.Cols(), sk.Cols()
-	replicas := 1
-	if s.cfg.backend == Distributed {
-		replicas = s.cfg.ranks
-	}
-	s.wireBytes += 8 * int64(m*l+l*bcols*replicas)
-	s.pushedBytes += 8 * int64(m*bcols)
-	s.sketchedPushes++
-	if s.rows == 0 {
-		s.rows = m
-	}
-	s.snapshots += bcols
-	s.updates++
-	return nil
+	return s.pushLocked(q, sk)
 }
