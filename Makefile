@@ -149,15 +149,17 @@ bench-stream:
 	$(GO) test -run '^$$' -bench Incorporate -benchmem ./internal/stream
 
 # Regression gate on the key benches: the blocked-GEMM kernel, the batched
-# skinny-GEMM path, the zero-allocation streaming hot path (raw batches
-# and sketched factor pairs) and the zero-allocation pairwise merge. Fails
-# if any zero-alloc benchmark reports allocations per op.
+# skinny-GEMM path, the blocked QR at the update's shapes, the
+# zero-allocation streaming hot path (raw batches and sketched factor
+# pairs) and the zero-allocation pairwise merge. Fails if any zero-alloc
+# benchmark reports allocations per op.
 bench-gate:
 	@fail=0; \
 	mat=$$($(GO) test -run '^$$' -bench 'BenchmarkMulSquare512$$|BenchmarkBatchedSkinny$$' -benchmem ./internal/mat) || fail=1; \
+	qr=$$($(GO) test -run '^$$' -bench 'BenchmarkQRUpdateShape$$' -benchmem ./internal/linalg) || fail=1; \
 	stream=$$($(GO) test -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkIncorporatePairSteadyState$$' -benchmem ./internal/stream) || fail=1; \
 	merge=$$($(GO) test -run '^$$' -bench 'BenchmarkMergePairSteadyState$$' -benchmem ./internal/merge) || fail=1; \
-	out=$$(printf '%s\n%s\n%s\n' "$$mat" "$$stream" "$$merge"); \
+	out=$$(printf '%s\n%s\n%s\n%s\n' "$$mat" "$$qr" "$$stream" "$$merge"); \
 	echo "$$out"; \
 	if [ $$fail -ne 0 ]; then echo "bench-gate: benchmarks failed"; exit 1; fi; \
 	echo "$$out" | awk ' \
@@ -173,23 +175,28 @@ bench-gate:
 		/^BenchmarkMergePairSteadyState/ { \
 			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenM = 1; allocsM = $$(i-1) } \
 		} \
+		/^BenchmarkQRUpdateShape/ { \
+			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenQ++; if ($$(i-1) + 0 > allocsQ) allocsQ = $$(i-1) + 0 } \
+		} \
 		END { \
 			if (!seenS) { print "bench-gate: BenchmarkIncorporateSteadyStateAllocs did not run"; exit 1 } \
 			if (!seenP) { print "bench-gate: BenchmarkIncorporatePairSteadyState did not run"; exit 1 } \
 			if (!seenB) { print "bench-gate: BenchmarkBatchedSkinny did not run"; exit 1 } \
 			if (!seenM) { print "bench-gate: BenchmarkMergePairSteadyState did not run"; exit 1 } \
+			if (seenQ < 2) { print "bench-gate: BenchmarkQRUpdateShape did not run both shapes"; exit 1 } \
 			if (allocsS + 0 > 0) { print "bench-gate: steady-state streaming path allocates (" allocsS " allocs/op, want 0)"; exit 1 } \
 			if (allocsP + 0 > 0) { print "bench-gate: steady-state sketched-pair path allocates (" allocsP " allocs/op, want 0)"; exit 1 } \
 			if (allocsB + 0 > 0) { print "bench-gate: batched skinny path allocates (" allocsB " allocs/op, want 0)"; exit 1 } \
 			if (allocsM + 0 > 0) { print "bench-gate: steady-state merge path allocates (" allocsM " allocs/op, want 0)"; exit 1 } \
-			print "bench-gate OK: streaming " allocsS " allocs/op, sketched pair " allocsP " allocs/op, batched " allocsB " allocs/op, merge " allocsM " allocs/op" \
+			if (allocsQ > 0) { print "bench-gate: blocked QR at the update shape allocates (" allocsQ " allocs/op, want 0)"; exit 1 } \
+			print "bench-gate OK: streaming " allocsS " allocs/op, sketched pair " allocsP " allocs/op, batched " allocsB " allocs/op, merge " allocsM " allocs/op, update QR " allocsQ + 0 " allocs/op" \
 		}'
 
 # The benchmark set the trajectory record tracks: kernel-level GEMM, the
-# batched path, the streaming hot loop, the pairwise merge and the
-# sketched-push wire traffic. Kept in one place so emitting a baseline
+# batched path, the blocked QR at the update's shapes, the streaming hot
+# loop, the pairwise merge and the sketched-push wire traffic. Kept in one place so emitting a baseline
 # and emitting a CI run measure the same thing.
-TRAJ_BENCH = BenchmarkMulIntoSquare256$$|BenchmarkMulSquare512$$|BenchmarkMulTallSkinny$$|BenchmarkBatchedSkinny$$|BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkMergePairSteadyState$$|BenchmarkMergeTree8$$|BenchmarkSketchedPushWire$$
+TRAJ_BENCH = BenchmarkMulIntoSquare256$$|BenchmarkMulSquare512$$|BenchmarkMulTallSkinny$$|BenchmarkBatchedSkinny$$|BenchmarkQRUpdateShape$$|BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkMergePairSteadyState$$|BenchmarkMergeTree8$$|BenchmarkSketchedPushWire$$
 TRAJ_COUNT ?= 5
 RUNID ?= local
 
@@ -198,7 +205,7 @@ RUNID ?= local
 # (same environment) or any alloc increase (any environment) fails.
 bench-trajectory:
 	$(GO) test -run '^$$' -bench '$(TRAJ_BENCH)' -benchmem -count $(TRAJ_COUNT) \
-		. ./internal/mat ./internal/stream ./internal/merge \
+		. ./internal/mat ./internal/linalg ./internal/stream ./internal/merge \
 		| $(GO) run ./cmd/parsvd-benchtraj emit -runid "$(RUNID)" -o BENCH_$(RUNID).json
 	$(GO) run ./cmd/parsvd-benchtraj compare -baseline BENCH_baseline.json -current BENCH_$(RUNID).json
 
@@ -206,7 +213,7 @@ bench-trajectory:
 # performance changes, then commit BENCH_baseline.json).
 bench-baseline:
 	$(GO) test -run '^$$' -bench '$(TRAJ_BENCH)' -benchmem -count $(TRAJ_COUNT) \
-		. ./internal/mat ./internal/stream ./internal/merge \
+		. ./internal/mat ./internal/linalg ./internal/stream ./internal/merge \
 		| $(GO) run ./cmd/parsvd-benchtraj emit -runid baseline -o BENCH_baseline.json
 
 # Re-measure the kernel selection thresholds on this machine and rewrite
@@ -215,8 +222,10 @@ benchtune:
 	$(GO) run ./cmd/parsvd-benchtune -o internal/mat/seltab_gen.go
 	gofmt -l internal/mat/seltab_gen.go
 
-# Fallback parity: the kernel and streaming suites with the assembly
+# Fallback parity: the kernel, QR and streaming suites with the assembly
 # micro-kernels disabled, so the pure-Go reference path stays correct.
+# The blocked QR's trailing updates and Q applies run on the dispatched
+# GEMM, so linalg, the TSQR and the merge ride along.
 noasm-test:
-	PARSVD_NOASM=1 $(GO) test -count 1 ./internal/mat ./internal/stream
+	PARSVD_NOASM=1 $(GO) test -count 1 ./internal/mat ./internal/linalg ./internal/tsqr ./internal/merge ./internal/stream
 	PARSVD_NOASM=1 $(GO) test -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$' -benchmem ./internal/stream

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"goparsvd/internal/apmos"
+	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
 	"goparsvd/internal/rla"
@@ -246,8 +247,11 @@ func (p *Parallel) Push(x, s *mat.Dense) {
 // broadcast of its factors to every rank.
 type tsqrQR struct{ comm *mpi.Comm }
 
-func (t tsqrQR) Factor(ws *mat.Workspace, a *mat.Dense) (q, r *mat.Dense) {
-	return tsqr.GatherQRWith(ws, t.comm, a)
+// Factor is the gather TSQR with this rank's Q left as its leaf
+// factorization and correction block: the modes come out as
+// Q_leaf·[corr·Ũ_K; 0] rather than (Q_leaf·corr)·Ũ_K.
+func (t tsqrQR) Factor(ws *mat.Workspace, a *mat.Dense) (leaf linalg.Householder, corr, r *mat.Dense) {
+	return tsqr.GatherFactorWith(ws, t.comm, a)
 }
 
 func (t tsqrQR) Share(ws *mat.Workspace, u *mat.Dense, s []float64) (*mat.Dense, []float64) {

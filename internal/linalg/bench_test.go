@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"fmt"
 	"testing"
 
+	"goparsvd/internal/mat"
 	"goparsvd/internal/testutil"
 )
 
@@ -69,5 +71,29 @@ func BenchmarkEigSym96(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		EigSym(a)
+	}
+}
+
+// BenchmarkQRUpdateShape times one streaming update's QR work on a warm
+// workspace: FactorQR of the stacked [ff·UΣ | A] and the implicit mode
+// product Q·[Ũ_K; 0], at the end-to-end benchmark's shape (M=8192, K+B=26)
+// and the 2048×(10+32) shape of the streaming target. K = 10.
+func BenchmarkQRUpdateShape(b *testing.B) {
+	for _, sh := range []struct{ m, n int }{{8192, 26}, {2048, 42}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.m, sh.n), func(b *testing.B) {
+			rng := testutil.NewRand(7)
+			a := testutil.RandomDense(sh.m, sh.n, rng)
+			c := testutil.RandomDense(sh.n, 10, rng)
+			var ws mat.Workspace
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h, r := FactorQR(&ws, a)
+				modes := h.MulQ(&ws, c)
+				h.Release(&ws)
+				ws.Put(r)
+				ws.Put(modes)
+			}
+		})
 	}
 }

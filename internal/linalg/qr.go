@@ -4,6 +4,14 @@
 // LAPACK routines PyParSVD reaches through NumPy (np.linalg.qr,
 // np.linalg.svd, np.linalg.eigh).
 //
+// The QR is blocked compact-WY Householder in the style of LAPACK
+// geqrt/larft/larfb: panels of qrPanel columns are reduced one reflector at
+// a time, and the trailing updates, the T factor's inner products and every
+// application of Q run on mat's dispatched GEMM. FactorQR leaves Q implicit
+// (Householder); MulQ computes Q·[C; 0] for a small C, which is how the
+// streaming update forms its modes, and QRWith is MulQ on [I; 0] for the
+// callers that need Q itself.
+//
 // All routines operate on mat.Dense values and never modify their inputs.
 // Factorizations use deterministic sign conventions where noted so that
 // results are reproducible across serial and distributed code paths.
@@ -21,6 +29,30 @@ import (
 	"goparsvd/internal/mat"
 )
 
+// qrPanel is the panel width of the blocked factorization. Columns inside a
+// panel are reduced one reflector at a time (vector operations on
+// contiguous columns); everything across panels — the trailing update, the
+// T factor's Gram products and every application of Q — is a GEMM. Wider
+// panels feed the GEMMs a longer inner dimension but leave more of the
+// 2·m·n² flops in the unblocked loop; the value was chosen by timing the
+// streaming update's shapes (M×(K+B) with K+B between 26 and 42).
+const qrPanel = 8
+
+// Householder is a QR factorization A = Q·R in compact-WY form (LAPACK
+// geqrt/larft): Q = H₀·H₁···H_{t−1} = I − V·T·Vᵀ with V the m×t unit lower
+// trapezoidal matrix of Householder vectors and T the t×t upper triangular
+// factor, t = min(m, n). Q is never formed: MulQ applies it to a small
+// matrix. The storage comes from the workspace given to FactorQR and goes
+// back with Release.
+type Householder struct {
+	// w is the n×m working transpose of A. Once factored, its first t rows
+	// are Vᵀ with explicit zeros left of each unit diagonal, so row blocks
+	// of it are the GEMM operands of the trailing update and of MulQ.
+	w *mat.Dense
+	// tf is T, kept whole (not per panel) so MulQ is one tall product.
+	tf *mat.Dense
+}
+
 // QR computes the thin (reduced) QR factorization A = Q·R of an m×n matrix,
 // matching numpy.linalg.qr's "reduced" mode: Q is m×t and R is t×n with
 // t = min(m, n). Q has orthonormal columns and R is upper triangular.
@@ -28,149 +60,212 @@ func QR(a *mat.Dense) (q, r *mat.Dense) { return QRWith(nil, a) }
 
 // QRWith is QR drawing every temporary and both returned factors from ws.
 // The caller owns q and r and may return them to the workspace when done.
+// It is FactorQR followed by MulQ on [I; 0].
 func QRWith(ws *mat.Workspace, a *mat.Dense) (q, r *mat.Dense) {
-	m, n := a.Dims()
-	t := m
-	if n < t {
-		t = n
-	}
-	w := ws.GetUninit(m, n) // Householder vectors accumulate below the diagonal.
-	w.CopyFrom(a)
-	tau := ws.GetFloats(t)
-	s := ws.GetFloats(n) // rank-1 update scratch shared by every reflector
-
-	for k := 0; k < t; k++ {
-		tau[k] = houseColumn(w, k, s)
-	}
-
-	// Extract R: the upper triangle of the first t rows of w.
-	r = ws.Get(t, n)
+	h, r := FactorQR(ws, a)
+	t := r.Rows()
+	eye := ws.Get(t, t)
 	for i := 0; i < t; i++ {
-		copy(r.RawData()[i*n+i:(i+1)*n], w.RawData()[i*n+i:(i+1)*n])
+		eye.Set(i, i, 1)
 	}
-
-	// Backward accumulation of Q = H_0·H_1···H_{t-1} applied to the first t
-	// columns of the identity.
-	q = ws.Get(m, t)
-	for j := 0; j < t; j++ {
-		q.Set(j, j, 1)
-	}
-	for k := t - 1; k >= 0; k-- {
-		applyHouseLeft(q, w, k, tau[k], s)
-	}
-	ws.PutFloats(s)
-	ws.PutFloats(tau)
-	ws.Put(w)
+	q = h.MulQ(ws, eye)
+	ws.Put(eye)
+	h.Release(ws)
 	return q, r
 }
 
-// houseColumn forms the Householder reflector annihilating column k of w
-// below the diagonal, stores the essential part of the vector in place
-// (w[k+1:,k]), writes the resulting R entry at (k,k) and applies the
-// reflector to the trailing columns. It returns tau such that
-// H = I - tau·v·vᵀ with v[k] = 1. s is caller-provided scratch of length
-// ≥ n; the trailing update runs row-wise (two passes accumulating
-// s = vᵀW, then W -= tau·v·sᵀ) so memory is walked contiguously.
-func houseColumn(w *mat.Dense, k int, s []float64) float64 {
-	m, n := w.Dims()
-	data := w.RawData()
-	// Norm of the column below and including the diagonal.
-	norm := 0.0
-	for idx := k*n + k; idx < m*n; idx += n {
-		v := data[idx]
-		norm += v * v
+// FactorQR computes the blocked Householder QR of the m×n matrix a, returning
+// Q implicitly and R (t×n, upper triangular) from ws. a is not modified.
+func FactorQR(ws *mat.Workspace, a *mat.Dense) (h Householder, r *mat.Dense) {
+	m, n := a.Dims()
+	t := min(m, n)
+	h.w = ws.GetUninit(n, m)
+	a.TInto(h.w)
+	h.tf = ws.Get(t, t)
+	r = ws.Get(t, n)
+	wd, td := h.w.RawData(), h.tf.RawData()
+	// Headers for the panel's V and the trailing columns, re-pointed at
+	// each panel's rows of w.
+	vp, trail := ws.ViewRows(h.w, 0, 0), ws.ViewRows(h.w, 0, 0)
+	for j0 := 0; j0 < t; j0 += qrPanel {
+		j1 := min(j0+qrPanel, t)
+		// Reduce the panel column by column. Row j of w is column j of A,
+		// so each reflector is built from, and applied to, contiguous
+		// vectors.
+		for j := j0; j < j1; j++ {
+			v := wd[j*m+j : (j+1)*m]
+			tau := house(v)
+			td[j*t+j] = tau
+			if tau == 0 {
+				continue
+			}
+			for c := j + 1; c < j1; c++ {
+				x := wd[c*m+j : (c+1)*m]
+				s := tau * (x[0] + dot(v[1:], x[1:]))
+				x[0] -= s
+				axpy(-s, v[1:], x[1:])
+			}
+		}
+		// The panel's columns of R are final: move them out and leave the
+		// explicit Householder vectors (zeros, unit diagonal) in their rows.
+		for j := j0; j < j1; j++ {
+			row := wd[j*m : (j+1)*m]
+			for i := 0; i <= j; i++ {
+				r.Set(i, j, row[i])
+				row[i] = 0
+			}
+			row[j] = 1
+		}
+		// One GEMM gives every inner product the panel needs: against V's
+		// leading columns for T, and against the trailing columns of A.
+		h.w.ViewRows(j0, j1, vp)
+		g := ws.GetUninit(n, j1-j0)
+		mat.MulTransBInto(g, h.w, vp)
+		h.extendT(g, j0, j1)
+		if j1 < n {
+			// Trailing update A ← Qpᵀ·A with Qp = I − Vp·Tp·Vpᵀ, in the
+			// transposed storage: Aᵀ ← Aᵀ − (Aᵀ·Vp)·Tp·Vpᵀ.
+			z := ws.GetUninit(n-j1, j1-j0)
+			for i := range n - j1 {
+				grow, zrow := g.RowView(j1+i), z.RowView(i)
+				for c := range zrow {
+					s := 0.0
+					for l := 0; l <= c; l++ {
+						s += grow[l] * td[(j0+l)*t+j0+c]
+					}
+					zrow[c] = -s
+				}
+			}
+			h.w.ViewRows(j1, n, trail)
+			mat.MulAddInto(trail, z, vp)
+			ws.Put(z)
+		}
+		ws.Put(g)
 	}
-	norm = math.Sqrt(norm)
+	ws.PutView(vp)
+	ws.PutView(trail)
+	// Columns past t (wide inputs) hold the rest of R in their first t rows.
+	for j := t; j < n; j++ {
+		for i := 0; i < t; i++ {
+			r.Set(i, j, wd[j*m+i])
+		}
+	}
+	return h, r
+}
+
+// extendT fills columns j0..j1−1 of T by LAPACK larft's forward recurrence,
+// T[:j, j] = −τ_j·T[:j, :j]·(V[:, :j]ᵀ·v_j), reading the inner products from
+// g, whose row l holds v_lᵀ·Vp. T[j, j] already holds τ_j.
+func (h Householder) extendT(g *mat.Dense, j0, j1 int) {
+	t := h.tf.Rows()
+	td, gd, gc := h.tf.RawData(), g.RawData(), g.Cols()
+	for j := j0; j < j1; j++ {
+		tau := td[j*t+j]
+		for i := 0; i < j; i++ {
+			s := 0.0
+			for l := i; l < j; l++ {
+				s += td[i*t+l] * gd[l*gc+j-j0]
+			}
+			td[i*t+j] = -tau * s
+		}
+	}
+}
+
+// MulQ returns Q·[c; 0], the m×k product of the factorization's Q with a
+// t×k matrix c padded by zero rows, drawn from ws. It is
+// [c; 0] − V·T·(Vᵀ·[c; 0]), and because [c; 0] is zero below row t, Vᵀ·[c; 0]
+// reads only V's top t rows: the one tall product is V·Y with Y t×k.
+func (h Householder) MulQ(ws *mat.Workspace, c *mat.Dense) *mat.Dense {
+	t, k := c.Dims()
+	if t != h.tf.Rows() {
+		panic(fmt.Sprintf("linalg: MulQ operand has %d rows, want %d", t, h.tf.Rows()))
+	}
+	m := h.w.Cols()
+	wd, td := h.w.RawData(), h.tf.RawData()
+	// y = −T·(V[:t, :]ᵀ·c). Row i of Vᵀ is zero left of its unit diagonal.
+	// T is upper triangular, so the second pass works in place from the
+	// top: row i reads only rows i.. of Vᵀ·c, none of them yet overwritten.
+	y := ws.Get(t, k)
+	for i := 0; i < t; i++ {
+		out := y.RowView(i)
+		for l := i; l < t; l++ {
+			axpy(wd[i*m+l], c.RowView(l), out)
+		}
+	}
+	for i := 0; i < t; i++ {
+		out := y.RowView(i)
+		scal(-td[i*t+i], out)
+		for l := i + 1; l < t; l++ {
+			axpy(-td[i*t+l], y.RowView(l), out)
+		}
+	}
+	dst := ws.GetUninit(m, k)
+	v := ws.ViewRows(h.w, 0, t)
+	mat.MulTransAInto(dst, v, y)
+	ws.PutView(v)
+	ws.Put(y)
+	dd, cd := dst.RawData(), c.RawData()
+	for i := range cd {
+		dd[i] += cd[i]
+	}
+	return dst
+}
+
+// Release returns the factorization's storage to ws; h must not be used
+// afterwards.
+func (h Householder) Release(ws *mat.Workspace) {
+	ws.Put(h.w)
+	ws.Put(h.tf)
+}
+
+// house turns x into the Householder reflector H = I − τ·v·vᵀ that maps x to
+// β·e₁: x[0] becomes β and x[1:] the essential part of v (v[0] = 1). It
+// returns τ, which is 0 (H = I) for a zero x. The sign of β is chosen
+// against x[0] to avoid cancellation.
+func house(x []float64) float64 {
+	norm := math.Sqrt(dot(x, x))
 	if norm == 0 {
 		return 0
 	}
-	alpha := data[k*n+k]
-	// Choose the sign that avoids cancellation: beta = -sign(alpha)·‖x‖.
+	alpha := x[0]
 	beta := -norm
 	if alpha < 0 {
 		beta = norm
 	}
-	// v = x - beta·e_k, normalized so v[k] = 1.
-	v0 := alpha - beta
-	for idx := (k+1)*n + k; idx < m*n; idx += n {
-		data[idx] /= v0
-	}
-	tau := (beta - alpha) / beta
-	data[k*n+k] = beta
-
-	// Apply H to the trailing columns: s = vᵀ·W[:, k+1:], then
-	// W[:, k+1:] -= tau·v·sᵀ, row by row.
-	cols := n - (k + 1)
-	if cols == 0 {
-		return tau
-	}
-	s = s[:cols]
-	copy(s, data[k*n+k+1:(k+1)*n]) // v[k] = 1
-	for i := k + 1; i < m; i++ {
-		vi := data[i*n+k]
-		if vi == 0 {
-			continue
-		}
-		row := data[i*n+k+1 : (i+1)*n]
-		for j, wv := range row {
-			s[j] += vi * wv
-		}
-	}
-	krow := data[k*n+k+1 : (k+1)*n]
-	for j := range s {
-		s[j] *= tau
-		krow[j] -= s[j]
-	}
-	for i := k + 1; i < m; i++ {
-		vi := data[i*n+k]
-		if vi == 0 {
-			continue
-		}
-		row := data[i*n+k+1 : (i+1)*n]
-		for j, sv := range s {
-			row[j] -= sv * vi
-		}
-	}
-	return tau
+	scal(1/(alpha-beta), x[1:])
+	x[0] = beta
+	return (beta - alpha) / beta
 }
 
-// applyHouseLeft applies the k-th stored reflector H = I - tau·v·vᵀ to every
-// column of q in place, where v is stored in column k of w below the
-// diagonal with implicit v[k] = 1. s is caller-provided scratch of length
-// ≥ q.Cols(); the update runs row-wise like houseColumn's.
-func applyHouseLeft(q, w *mat.Dense, k int, tau float64, s []float64) {
-	if tau == 0 {
-		return
+// dot is the inner product of equal-length x and y, four partial sums wide.
+func dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		s0 += x[i] * y[i]
+		s1 += x[i+1] * y[i+1]
+		s2 += x[i+2] * y[i+2]
+		s3 += x[i+3] * y[i+3]
 	}
-	m, p := q.Dims()
-	qd, wd := q.RawData(), w.RawData()
-	wcols := w.Cols()
-	s = s[:p]
-	copy(s, qd[k*p:(k+1)*p])
-	for i := k + 1; i < m; i++ {
-		vi := wd[i*wcols+k]
-		if vi == 0 {
-			continue
-		}
-		row := qd[i*p : (i+1)*p]
-		for j, qv := range row {
-			s[j] += vi * qv
-		}
+	for ; i < len(x); i++ {
+		s0 += x[i] * y[i]
 	}
-	krow := qd[k*p : (k+1)*p]
-	for j := range s {
-		s[j] *= tau
-		krow[j] -= s[j]
+	return (s0 + s1) + (s2 + s3)
+}
+
+// axpy computes y += alpha·x for equal-length x and y.
+func axpy(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] += alpha * v
 	}
-	for i := k + 1; i < m; i++ {
-		vi := wd[i*wcols+k]
-		if vi == 0 {
-			continue
-		}
-		row := qd[i*p : (i+1)*p]
-		for j, sv := range s {
-			row[j] -= sv * vi
-		}
+}
+
+// scal computes x *= alpha.
+func scal(alpha float64, x []float64) {
+	for i := range x {
+		x[i] *= alpha
 	}
 }
 

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -189,4 +190,119 @@ func residualNorm(a *mat.Dense, x, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
+}
+
+// reflectorQ forms the thin Q of a factorization the slow, independent
+// way: the reflectors H_j = I − τ_j·v_j·v_jᵀ applied one at a time, in
+// reverse order, to [I; 0]. It checks T's recurrence as well as MulQ.
+func reflectorQ(h Householder) *mat.Dense {
+	m, t := h.w.Cols(), h.tf.Rows()
+	q := mat.New(m, t)
+	for j := 0; j < t; j++ {
+		q.Set(j, j, 1)
+	}
+	for j := t - 1; j >= 0; j-- {
+		v, tau := h.w.RowView(j), h.tf.At(j, j)
+		for c := 0; c < t; c++ {
+			s := 0.0
+			for i := 0; i < m; i++ {
+				s += v[i] * q.At(i, c)
+			}
+			for i := 0; i < m; i++ {
+				q.Set(i, c, q.At(i, c)-tau*s*v[i])
+			}
+		}
+	}
+	return q
+}
+
+// TestHouseholderMulQMatchesExplicit checks the implicit Q·[C; 0] against
+// the reflector product Q·C over the shapes the blocking must get right:
+// wide, square, fewer rows than a panel, widths that are not a multiple of
+// the panel, zero columns (τ = 0) and rank-deficient inputs. It also checks
+// QᵀQ = I and A = Q·R for the explicit QRWith.
+func TestHouseholderMulQMatchesExplicit(t *testing.T) {
+	rng := testutil.NewRand(7)
+	zeroCols := testutil.RandomDense(40, 13, rng)
+	for _, j := range []int{0, 5, 12} {
+		for i := 0; i < 40; i++ {
+			zeroCols.Set(i, j, 0)
+		}
+	}
+	lowRank, _ := testutil.RandomLowRank(60, 21, 4, 0, rng)
+	dup := testutil.RandomDense(30, 10, rng)
+	for i := 0; i < 30; i++ {
+		dup.Set(i, 9, dup.At(i, 2))
+		dup.Set(i, 8, 0)
+	}
+	cases := map[string]*mat.Dense{
+		"wide":           testutil.RandomDense(5, 19, rng),
+		"wide-panels":    testutil.RandomDense(11, 30, rng),
+		"square":         testutil.RandomDense(17, 17, rng),
+		"below-panel":    testutil.RandomDense(qrPanel-3, 2, rng),
+		"one-by-one":     testutil.RandomDense(1, 1, rng),
+		"single-column":  testutil.RandomDense(25, 1, rng),
+		"odd-width":      testutil.RandomDense(90, 2*qrPanel+3, rng),
+		"panel-width":    testutil.RandomDense(64, 2*qrPanel, rng),
+		"update-shape":   testutil.RandomDense(300, 26, rng),
+		"zero-columns":   zeroCols,
+		"zero-matrix":    mat.New(12, 9),
+		"rank-deficient": lowRank,
+		"duplicate-col":  dup,
+	}
+	// Random shapes straddling the panel boundaries, wide and tall.
+	for i := 0; i < 12; i++ {
+		m, n := 1+rng.Intn(5*qrPanel), 1+rng.Intn(5*qrPanel)
+		cases[fmt.Sprintf("random-%dx%d", m, n)] = testutil.RandomDense(m, n, rng)
+	}
+	for name, a := range cases {
+		t.Run(name, func(t *testing.T) {
+			m, n := a.Dims()
+			k := min(m, n)
+			var ws mat.Workspace
+			h, r := FactorQR(&ws, a)
+			ref := reflectorQ(h)
+			crng := testutil.NewRand(int64(131*m + n))
+			for _, width := range []int{1, 3, k + 2} {
+				c := testutil.RandomDense(k, width, crng)
+				got := h.MulQ(&ws, c)
+				if d := mat.Sub(got, mat.Mul(ref, c)).MaxAbs(); d > 1e-13 {
+					t.Errorf("width %d: |Q·[C;0] − Q·C| = %.3g", width, d)
+				}
+			}
+			h.Release(&ws)
+			testutil.CheckUpperTriangular(t, "R", r, 0)
+
+			q, r := QRWith(&ws, a)
+			if d := mat.Sub(mat.MulTransA(q, q), mat.Eye(k)).MaxAbs(); d > 1e-12 {
+				t.Errorf("|QᵀQ − I| = %.3g", d)
+			}
+			if d := mat.Sub(mat.Mul(q, r), a).MaxAbs(); d > 1e-12*math.Max(1, a.MaxAbs()) {
+				t.Errorf("|QR − A| = %.3g", d)
+			}
+		})
+	}
+}
+
+// TestFactorMulQZeroAllocs: factor + apply on a warm workspace allocates
+// nothing, at the streaming update's shape.
+func TestFactorMulQZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	rng := testutil.NewRand(8)
+	a := testutil.RandomDense(1024, 26, rng)
+	c := testutil.RandomDense(26, 10, rng)
+	var ws mat.Workspace
+	run := func() {
+		h, r := FactorQR(&ws, a)
+		out := h.MulQ(&ws, c)
+		h.Release(&ws)
+		ws.Put(r)
+		ws.Put(out)
+	}
+	run() // warm the workspace
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("factor + MulQ on a warm workspace: %v allocs/run, want 0", allocs)
+	}
 }

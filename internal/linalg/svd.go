@@ -49,11 +49,10 @@ func SVDWith(ws *mat.Workspace, a *mat.Dense) (u *mat.Dense, s []float64, v *mat
 		return ut, s, vt
 	}
 	if m >= 2*n {
-		q, r := QRWith(ws, a)
+		h, r := FactorQR(ws, a)
 		ur, s, v := svdSquareish(ws, r)
-		u := ws.GetUninit(m, ur.Cols())
-		mat.MulInto(u, q, ur)
-		ws.Put(q)
+		u := h.MulQ(ws, ur)
+		h.Release(ws)
 		ws.Put(r)
 		ws.Put(ur)
 		return u, s, v

@@ -203,10 +203,18 @@ func (m *Dense) TInto(dst *Dense) {
 		panic(fmt.Sprintf("mat: TInto destination is %dx%d, want %dx%d",
 			dst.rows, dst.cols, m.cols, m.rows))
 	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			dst.data[j*m.rows+i] = v
+	// Walk m in strips of tStrip rows so every destination row receives a
+	// run of tStrip contiguous values at once. Row-at-a-time, a tall m
+	// writes one value per destination row, Rows() apart — for power-of-two
+	// row counts all those writes land in the same cache sets.
+	const tStrip = 8
+	for i0 := 0; i0 < m.rows; i0 += tStrip {
+		i1 := min(i0+tStrip, m.rows)
+		for j := 0; j < m.cols; j++ {
+			out := dst.data[j*m.rows+i0 : j*m.rows+i1]
+			for i := range out {
+				out[i] = m.data[(i0+i)*m.cols+j]
+			}
 		}
 	}
 }

@@ -225,3 +225,44 @@ func TestWorkspaceReuse(t *testing.T) {
 	nilWS.PutFloats(nilWS.GetFloats(4))
 	nilWS.PutInts(nilWS.GetInts(4))
 }
+
+// TestMulAddIntoAccumulates: dst += a·b on both the naive and the packed
+// route, including ragged edge strips, agrees with the product added
+// separately.
+func TestMulAddIntoAccumulates(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, sh := range [][3]int{{3, 2, 4}, {37, 8, 300}, {130, 19, 11}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		a, b, c := randomDense(m, k, rng), randomDense(k, n, rng), randomDense(m, n, rng)
+		got := c.Clone()
+		MulAddInto(got, a, b)
+		want := Add(c, Mul(a, b))
+		if !EqualApprox(got, want, 1e-12) {
+			t.Errorf("%dx%dx%d: MulAddInto != c + a·b", m, k, n)
+		}
+	}
+}
+
+// TestWorkspaceViewRows: a pooled view aliases the rows it names, and a
+// returned header is recycled without keeping the old matrix reachable.
+func TestWorkspaceViewRows(t *testing.T) {
+	var ws Workspace
+	m := NewFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	v := ws.ViewRows(m, 1, 3)
+	if r, c := v.Dims(); r != 2 || c != 2 || v.At(0, 0) != 3 {
+		t.Fatalf("view is %dx%d starting at %g", r, c, v.At(0, 0))
+	}
+	v.Set(1, 1, 9)
+	if m.At(2, 1) != 9 {
+		t.Fatal("view does not share the matrix's storage")
+	}
+	ws.PutView(v)
+	if v.data != nil {
+		t.Fatal("returned view still references the matrix")
+	}
+	if w := ws.ViewRows(m, 0, 1); w != v || w.At(0, 1) != 2 {
+		t.Fatal("view header not recycled")
+	}
+	var nilWS *Workspace
+	nilWS.PutView(nilWS.ViewRows(m, 0, 3)) // plain allocation, no crash
+}

@@ -77,6 +77,16 @@ func MulInto(dst, a, b *Dense) {
 	gemm(dst, a, b, false, false)
 }
 
+// MulAddInto accumulates dst += a*b without allocating. dst must be
+// a.Rows() × b.Cols() and must not alias a or b.
+func MulAddInto(dst, a, b *Dense) {
+	if a.cols != b.rows {
+		panic(dimPanic("MulAdd", a, b))
+	}
+	checkDims("MulAddInto", dst, a.rows, b.cols)
+	gemmAdd(dst, a, b, false, false)
+}
+
 // MulTransA returns aᵀ*b without materializing the transpose.
 func MulTransA(a, b *Dense) *Dense {
 	out := New(a.cols, b.cols)

@@ -11,6 +11,7 @@ package mat
 // A Workspace is not safe for concurrent use; give each goroutine its own.
 type Workspace struct {
 	free   []*Dense
+	views  []*Dense
 	floats [][]float64
 	ints   [][]int
 }
@@ -73,6 +74,32 @@ func (w *Workspace) Put(m *Dense) {
 		return
 	}
 	w.free = append(w.free, m)
+}
+
+// ViewRows returns a header onto rows [r0,r1) of m (see Dense.ViewRows),
+// recycling a pooled header. Kernels that hand row blocks of one matrix to
+// the GEMM take their views here: a header passed to a product escapes, so
+// a stack-declared one would cost an allocation per call. The view shares
+// m's storage; release it with PutView, never Put.
+func (w *Workspace) ViewRows(m *Dense, r0, r1 int) *Dense {
+	var v *Dense
+	if w != nil && len(w.views) > 0 {
+		v = w.views[len(w.views)-1]
+		w.views = w.views[:len(w.views)-1]
+	} else {
+		v = new(Dense)
+	}
+	m.ViewRows(r0, r1, v)
+	return v
+}
+
+// PutView returns a header obtained from ViewRows to the pool.
+func (w *Workspace) PutView(v *Dense) {
+	if w == nil || v == nil || len(w.views) >= maxPoolEntries {
+		return
+	}
+	v.data = nil // drop the reference to the viewed matrix
+	w.views = append(w.views, v)
 }
 
 // GetFloats returns a zeroed float slice of length n from the pool.

@@ -21,6 +21,10 @@ import (
 // with probability 1 − 10^-errProbes.
 const errProbes = 10
 
+// dropTol is the relative size, against the sketch block it came from,
+// below which a new basis direction counts as already captured.
+const dropTol = 1e-12
+
 // AdaptiveRangeFinder grows an orthonormal basis Q for the range of A in
 // blocks of the given width until the estimated spectral-norm residual
 // ‖A − QQᵀA‖₂ falls below tol, or the basis saturates at min(m, n)
@@ -39,6 +43,7 @@ func AdaptiveRangeFinder(a *mat.Dense, tol float64, block int, opts Options) (*m
 	m, n := a.Dims()
 	limit := min(m, n)
 	rng := rand.New(rand.NewSource(opts.Seed))
+	var ws mat.Workspace // recycles each block's QR factors
 
 	var q *mat.Dense // m×k, grows by up to `block` columns per round
 	for {
@@ -52,28 +57,33 @@ func AdaptiveRangeFinder(a *mat.Dense, tol float64, block int, opts Options) (*m
 			return q, nil
 		}
 		y := mat.Mul(a, Gaussian(n, width, rng))
+		cutoff := dropTol * y.FroNorm()
 		for pass := 0; pass < 2; pass++ {
 			if q != nil {
 				y = mat.Sub(y, mat.Mul(q, mat.MulTransA(q, y)))
 			}
 		}
-		qb, rb := linalg.QR(y)
+		qb, rb := linalg.QRWith(&ws, y)
 		// Discard directions that were already captured: their R diagonal
-		// collapses to ~0 and keeping them would poison orthogonality.
+		// collapses to roundoff of the sketch block, and keeping them would
+		// poison orthogonality. The cutoff is relative to the block so that
+		// scaling A (and tol) does not change the basis.
 		keep := 0
 		for j := 0; j < rb.Rows() && j < rb.Cols(); j++ {
-			if math.Abs(rb.At(j, j)) > 1e-12 {
+			if math.Abs(rb.At(j, j)) > cutoff {
 				keep = j + 1
 			}
 		}
 		if keep > 0 {
-			qb = qb.SliceCols(0, keep)
+			kept := qb.SliceCols(0, keep)
 			if q == nil {
-				q = qb
+				q = kept
 			} else {
-				q = mat.HStack(q, qb)
+				q = mat.HStack(q, kept)
 			}
 		}
+		ws.Put(qb)
+		ws.Put(rb)
 		if q == nil {
 			// A is (numerically) zero: an empty basis satisfies any tol.
 			return mat.New(m, 0), nil

@@ -157,3 +157,19 @@ func TestAdaptiveSVDZeroMatrix(t *testing.T) {
 		t.Fatal("zero matrix should produce empty factors")
 	}
 }
+
+// TestAdaptiveRangeFinderScaleInvariant: scaling A and tol together must
+// not change the basis. An absolute cutoff on the R diagonal dropped every
+// direction of a tiny-scaled matrix and returned an empty basis.
+func TestAdaptiveRangeFinderScaleInvariant(t *testing.T) {
+	rng := testutil.NewRand(44)
+	a, _ := testutil.RandomLowRank(500, 60, 8, 0, rng)
+	widths := map[float64]int{}
+	for _, scale := range []float64{1, 1e-15} {
+		q := mustAdaptiveRangeFinder(t, mat.Scale(scale, a), 1e-8*scale, 4, DefaultOptions())
+		widths[scale] = q.Cols()
+	}
+	if widths[1] != 8 || widths[1e-15] != widths[1] {
+		t.Fatalf("basis width %d at scale 1, %d at scale 1e-15; want 8 at both", widths[1], widths[1e-15])
+	}
+}

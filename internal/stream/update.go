@@ -22,10 +22,12 @@ import (
 // is the initialization (steps I1–I2); with w = 1 and X = U₂·diag(Σ₂) it
 // is the Iwen–Ong pairwise merge (arXiv 1601.07010).
 //
-// Every temporary comes from the Update's workspace and the tall mode
-// product runs through a PanelBatch, so a steady stream of same-shaped
-// steps allocates nothing. The zero value is a dense-SVD, local-QR update;
-// an Update must not be used from multiple goroutines concurrently.
+// Q stays implicit: the modes are Q·[Ũ_K; 0], applied through the
+// compact-WY factors (linalg.Householder.MulQ); Q is never formed. Every
+// temporary comes from the Update's workspace, so a steady stream of
+// same-shaped steps allocates nothing. The zero value is a dense-SVD,
+// local-QR update; an Update must not be used from multiple goroutines
+// concurrently.
 type Update struct {
 	// QR factors the stacked matrix; nil selects LocalQR.
 	QR QR
@@ -35,17 +37,17 @@ type Update struct {
 	RLA     rla.Options
 
 	ws mat.Workspace
-	pb mat.PanelBatch
 }
 
 // QR is an Update's factorization strategy. LocalQR factors the whole
 // stacked matrix in this process; a distributed strategy (the TSQR of
 // internal/core) factors this process's row block of it.
 type QR interface {
-	// Factor returns this process's rows of Q and, on the process that
-	// runs the small SVD, the R factor; r is nil everywhere else. Both
-	// come from ws.
-	Factor(ws *mat.Workspace, a *mat.Dense) (q, r *mat.Dense)
+	// Factor factors a. This process's rows of Q are leaf·[corr; 0]; corr
+	// is nil when leaf's Q is already the whole one. On the process that
+	// runs the small SVD it also returns the R factor; r is nil everywhere
+	// else. All of them come from ws.
+	Factor(ws *mat.Workspace, a *mat.Dense) (leaf linalg.Householder, corr, r *mat.Dense)
 	// Share hands the small SVD's factors, computed where Factor returned
 	// R, to every process. The Update recycles the results into ws.
 	Share(ws *mat.Workspace, u *mat.Dense, s []float64) (*mat.Dense, []float64)
@@ -55,9 +57,10 @@ type QR interface {
 // stacked matrix, with the small SVD's factors used where they are made.
 type LocalQR struct{}
 
-// Factor is linalg.QRWith.
-func (LocalQR) Factor(ws *mat.Workspace, a *mat.Dense) (q, r *mat.Dense) {
-	return linalg.QRWith(ws, a)
+// Factor is linalg.FactorQR.
+func (LocalQR) Factor(ws *mat.Workspace, a *mat.Dense) (leaf linalg.Householder, corr, r *mat.Dense) {
+	leaf, r = linalg.FactorQR(ws, a)
+	return leaf, nil, r
 }
 
 // Share is the identity: there is no other process.
@@ -97,7 +100,7 @@ func (u *Update) Step(modes *mat.Dense, sigma []float64, w float64, x, s *mat.De
 		mat.HStackInto(stacked, scaled, x)
 		u.ws.Put(scaled)
 	}
-	q, r := qr.Factor(&u.ws, stacked)
+	leaf, corr, r := qr.Factor(&u.ws, stacked)
 	if stacked != x {
 		u.ws.Put(stacked)
 	}
@@ -118,12 +121,18 @@ func (u *Update) Step(modes *mat.Dense, sigma []float64, w float64, x, s *mat.De
 	}
 	usub := u.ws.GetUninit(ut.Rows(), kk)
 	ut.SliceColsInto(usub, 0, kk)
-	next = u.ws.GetUninit(q.Rows(), kk)
-	u.pb.MulInto(next, q, usub)
+	u.ws.Put(ut)
+	if corr != nil {
+		c := u.ws.GetUninit(corr.Rows(), kk)
+		mat.MulInto(c, corr, usub)
+		u.ws.Put(usub)
+		u.ws.Put(corr)
+		usub = c
+	}
+	next = leaf.MulQ(&u.ws, usub)
+	leaf.Release(&u.ws)
 	sv = append(dst[:0], d[:kk]...)
 	u.ws.Put(usub)
-	u.ws.Put(ut)
-	u.ws.Put(q)
 	u.ws.PutFloats(d)
 	return next, sv, math.Sqrt(tail)
 }

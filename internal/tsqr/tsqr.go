@@ -62,18 +62,26 @@ func GatherQR(c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.Dense) {
 // of a streaming update reuses its buffers across batches. Matrices that
 // cross rank boundaries are still freshly allocated by the communicator.
 func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.Dense) {
+	leaf, corr, r := GatherFactorWith(ws, c, a)
+	qlocal = leaf.MulQ(ws, corr)
+	leaf.Release(ws)
+	ws.Put(corr)
+	return qlocal, r
+}
+
+// GatherFactorWith is GatherQRWith with this rank's block of Q left
+// implicit: it is leaf·[corr; 0] (linalg.Householder.MulQ), where leaf is
+// the local factorization and corr the rank's block of the root's Q. A
+// caller that only needs Q times a small matrix multiplies corr by it first
+// and never forms Q. leaf, corr and, on rank 0, r come from ws.
+func GatherFactorWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (leaf linalg.Householder, corr, r *mat.Dense) {
 	n := a.Cols()
-	q, rl := linalg.QRWith(ws, a) // local QR; rl is min(m_i,n)×n
+	leaf, rl := linalg.FactorQR(ws, a) // rl is min(m_i,n)×n
 
 	if c.Rank() != 0 {
 		c.SendMatrix(0, tagQBlock, rl)
 		ws.Put(rl)
-		qg := c.RecvMatrix(0, tagQBlock+c.Rank())
-		qlocal = ws.GetUninit(q.Rows(), qg.Cols())
-		mat.MulInto(qlocal, q, qg)
-		ws.Put(q)
-		ws.Put(qg)
-		return qlocal, nil
+		return leaf, c.RecvMatrix(0, tagQBlock+c.Rank()), nil
 	}
 
 	// Rank 0: gather the R factors (its own plus one per peer, in rank
@@ -96,10 +104,8 @@ func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.
 		c.SendMatrix(dst, tagQBlock+dst, qGlobal.SliceRows(off, off+rows))
 		off += rows
 	}
-	qtop := qGlobal.SliceRows(0, blocks[0].Rows())
-	qlocal = ws.GetUninit(q.Rows(), qtop.Cols())
-	mat.MulInto(qlocal, q, qtop)
-	ws.Put(q)
+	corr = ws.GetUninit(rl.Rows(), qGlobal.Cols())
+	copy(corr.RawData(), qGlobal.RawData())
 	ws.Put(rl)
 	ws.Put(qGlobal)
 	if rFinal.Rows() != n || rFinal.Cols() != n {
@@ -108,7 +114,7 @@ func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.
 		panic(fmt.Sprintf("tsqr: global matrix has fewer rows than columns (R is %dx%d)",
 			rFinal.Rows(), rFinal.Cols()))
 	}
-	return qlocal, rFinal
+	return leaf, corr, rFinal
 }
 
 // TreeQR computes the same distributed thin QR as GatherQR using a binary
